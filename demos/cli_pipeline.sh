@@ -15,7 +15,7 @@ echo "working in $work"
 
 # 1. Synthesize the demo sinusoid signal (three tones, the middle one weak)
 #    and run a short trans-dimensional chain over (k, frequencies).
-transdim simulate-sin --seed 4 --snr-db 7 --length 64 \
+transdim simulate-sin --seed 4 \
     --iterations 20000 --burn-in 4000 --thinning 2 \
     --out sin_samples.txt --signal-out sin_signal.json
 head -3 sin_samples.txt
@@ -47,7 +47,10 @@ print("window counts:", r["intervals"])
 EOF
 
 # 4. The photoelectron pipeline uses the same verbs with 2-d samples.
+#    The prior is given explicitly (rate 1, Gamma(2, 0.05) amplitudes);
+#    AugerChainConfig's defaults are rate 3 and Gamma(1, 0.1).
 transdim simulate-auger --seed 9 --muon 105:50 --muon 170:45 \
+    --rate 1 --amp-alpha 2 --amp-beta 0.05 \
     --iterations 15000 --burn-in 3000 --thinning 5 \
     --out pe_samples.txt --signal-out pe_signal.csv
 transdim fit --samples pe_samples.txt --init-rule fixed --fixed-l 4 \

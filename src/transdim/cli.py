@@ -8,17 +8,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import math
-import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics, montecarlo, storage
 from .fit import FitConfig, sem_fit
 from .model import ModelError
-from .muons import AugerChainConfig, PulseShape, rjmcmc_run_auger, simulate_pe_signal
+from .muons import AugerChainConfig, PECountSignal, PulseShape, rjmcmc_run_auger, simulate_pe_signal
 from .sinusoid import SinChainConfig, design_matrix, generate_synthetic_signal, rjmcmc_run
 
 EXIT_OK = 0
@@ -32,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_on_error_code if hasattr(self, "exit_on_error_code") else EXIT_USAGE)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _write_json(doc: dict, path) -> None:
@@ -41,12 +41,23 @@ def _write_json(doc: dict, path) -> None:
         fh.write("\n")
 
 
-def _read_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise storage.StorageError(f"{path}: not valid JSON ({exc})") from None
+_fmt = storage._fmt  # reals at 17 significant digits read back exactly
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _given(args, cls) -> dict:
+    """The options the user gave that set fields of the config class ``cls``.
+
+    Such options have no argparse default, so every field left out keeps the
+    default declared on ``cls``.
+    """
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
 
 
 # ---------------------------------------------------------------------------
@@ -55,39 +66,31 @@ def _read_json(path) -> dict:
 
 
 def _cmd_simulate_sin(args) -> int:
-    omega = args.omega or [0.63, 0.68, 0.73]
+    paper = montecarlo._PAPER_SIGNAL
+    omega = args.omega or paper["omega"]
     k = len(omega)
     if args.omega:
         energy = args.energy or [20.0] * k
         phase = args.phase or [0.0] * k
     else:
-        energy = args.energy or [20.0, 6.32, 20.0]
-        phase = args.phase or [0.0, math.pi / 4, math.pi / 3]
+        energy = args.energy or paper["energies"]
+        phase = args.phase or paper["phases"]
     sig_seed, chain_seed = storage.spawn_seeds(args.seed, 2)
-    sig = generate_synthetic_signal(k, omega, energy, phase, args.snr_db, args.length, seed=sig_seed)
-    cfg = SinChainConfig(
-        iterations=args.iterations,
-        burn_in=args.burn_in,
-        thinning=args.thinning,
-        k_max=args.k_max,
-        rw_step=args.rw_step,
-        delta2_init=args.delta2,
-        sample_delta2=not args.fix_delta2,
-        rate_init=args.rate,
-        sample_rate=not args.fix_rate,
-        rng_seed=chain_seed,
+    sig = generate_synthetic_signal(
+        k, omega, energy, phase, paper["snr_db"], paper["n"], seed=sig_seed
     )
+    cfg = SinChainConfig(**_given(args, SinChainConfig), rng_seed=chain_seed)
     samples = rjmcmc_run(sig, cfg)
     storage.write_samples(samples, args.out)
     if args.signal_out:
-        clean = design_matrix(sig.true_omega, args.length) @ sig.true_amplitudes
+        clean = design_matrix(sig.true_omega, sig.N) @ sig.true_amplitudes
         _write_json(
             {
                 "format": "transdim-signal",
                 "version": 1,
                 "y": sig.y.tolist(),
                 "clean": clean.tolist(),
-                "snr_db": args.snr_db,
+                "snr_db": sig.snr_db,
                 "true_omega": list(sig.true_omega),
             },
             args.signal_out,
@@ -108,7 +111,7 @@ def _parse_muons(values) -> list:
 
 
 def _cmd_simulate_auger(args) -> int:
-    shape = PulseShape(rise_time=args.rise_time, decay=args.decay)
+    shape = PulseShape(**_given(args, PulseShape))
     sig_seed, chain_seed = storage.spawn_seeds(args.seed, 2)
     if args.signal_in:
         signal = storage.read_pe_signal(args.signal_in)
@@ -117,22 +120,9 @@ def _cmd_simulate_auger(args) -> int:
         if not muons:
             raise storage.StorageError("give at least one --muon T:A or --signal-in")
         signal = simulate_pe_signal(
-            muons, args.bins, shape, args.t0, args.t_delta, seed=sig_seed
+            muons, args.bins, shape, seed=sig_seed, **_given(args, PECountSignal)
         )
-    cfg = AugerChainConfig(
-        iterations=args.iterations,
-        burn_in=args.burn_in,
-        thinning=args.thinning,
-        k_max=args.k_max,
-        rate=args.rate,
-        t_step=args.t_step,
-        log_a_step=args.log_a_step,
-        amp_alpha=args.amp_alpha,
-        amp_beta=args.amp_beta,
-        a_max=args.a_max,
-        pulse=shape,
-        rng_seed=chain_seed,
-    )
+    cfg = AugerChainConfig(**_given(args, AugerChainConfig), pulse=shape, rng_seed=chain_seed)
     samples = rjmcmc_run_auger(signal, cfg)
     storage.write_samples(samples, args.out)
     if args.signal_out:
@@ -143,29 +133,12 @@ def _cmd_simulate_auger(args) -> int:
 
 def _cmd_fit(args) -> int:
     samples = storage.read_samples(args.samples)
-    cfg = FitConfig(
-        iterations=args.iterations,
-        imh_inner_steps=args.inner_steps,
-        averaging_window=args.window,
-        prune_threshold=args.prune_threshold,
-        init_pi=args.init_pi,
-        init_lambda=args.init_lambda,
-        percentile_for_L=args.percentile,
-        threshold_for_L=args.threshold,
-        init_rule=args.init_rule,
-        fixed_L=args.fixed_l,
-        rng_seed=args.seed,
-    )
-    result = sem_fit(samples, cfg)
+    result = sem_fit(samples, FitConfig(**_given(args, FitConfig), rng_seed=args.seed))
     storage.write_model(result.model, args.out)
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "criterion", "components"])
-            for i, (crit, counts) in enumerate(
-                zip(result.trace.criteria, result.trace.counts)
-            ):
-                writer.writerow([i, format(crit, ".17g"), len(counts) - 1])
+        rows = zip(result.trace.criteria, result.trace.counts)
+        _write_csv(args.trace_out, ["iteration", "criterion", "components"],
+                   ([i, _fmt(c), len(n) - 1] for i, (c, n) in enumerate(rows)))
     if args.allocations_out:
         with open(args.allocations_out, "w", encoding="utf-8") as fh:
             for z in result.allocations:
@@ -225,10 +198,19 @@ def _cmd_report(args) -> int:
     if args.signal:
         if args.seed is None:
             raise storage.StorageError("reconstruction draws need --seed")
-        doc = _read_json(args.signal)
-        y = np.array(doc["y"], dtype=float)
-        reference = np.array(doc.get("clean", doc["y"]), dtype=float)
-        delta2 = float(samples.provenance.get("extras", {}).get("mean_delta2", 20.0))
+        doc = storage.parse_json_object(Path(args.signal).read_text(encoding="utf-8"), args.signal)
+        try:
+            y = np.array(doc["y"], dtype=float)
+            reference = np.array(doc.get("clean", doc["y"]), dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise storage.StorageError(f"{args.signal}: needs a numeric 'y' list ({exc})") from None
+        if y.ndim != 1 or y.size < 2 or reference.shape != y.shape:
+            raise storage.StorageError(f"{args.signal}: 'y' and 'clean' must be equal-length lists")
+        try:
+            extras = samples.provenance.get("extras") or {}
+            delta2 = float(extras.get("mean_delta2", SinChainConfig.delta2_init))
+        except (AttributeError, TypeError, ValueError):
+            raise storage.StorageError(f"{args.samples}: extras.mean_delta2 is not a number") from None
         bma = diagnostics.reconstruct_bma(samples, y, delta2)
         from_model = diagnostics.reconstruct_from_model(
             model, y, delta2, args.draws, np.random.default_rng(args.seed)
@@ -240,72 +222,42 @@ def _cmd_report(args) -> int:
         model, samples, allocations=allocations, intervals=intervals,
         reconstruction_db=recon_db,
     )
-    os.makedirs(args.outdir, exist_ok=True)
-    storage.write_report(report.to_dict(), os.path.join(args.outdir, "report.json"))
-
-    with open(os.path.join(args.outdir, "pk.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "probability"])
-        for k, p in enumerate(report.p_k):
-            writer.writerow([k, format(p, ".17g")])
-
+    out = Path(args.outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    storage.write_report(report.to_dict(), out / "report.json")
+    _write_csv(out / "pk.csv", ["k", "probability"], ([k, _fmt(p)] for k, p in enumerate(report.p_k)))
     heights, edges = diagnostics.bma_histogram_intensity(samples, bins=args.hist_bins, dim=args.dim)
-    with open(os.path.join(args.outdir, "histogram.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["left", "right", "height"])
-        for b in range(heights.size):
-            writer.writerow([
-                format(edges[b], ".17g"), format(edges[b + 1], ".17g"),
-                format(heights[b], ".17g"),
-            ])
-
+    _write_csv(out / "histogram.csv", ["left", "right", "height"],
+               ([_fmt(edges[b]), _fmt(edges[b + 1]), _fmt(heights[b])] for b in range(heights.size)))
     if model.space.dim == 1:
         lo, hi = model.space.bounds[0]
         grid = np.linspace(lo, hi, args.grid_points)
         curve = diagnostics.intensity_curve(model, grid)
-        with open(os.path.join(args.outdir, "intensity.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "intensity"])
-            for x, v in zip(grid, curve):
-                writer.writerow([format(x, ".17g"), format(v, ".17g")])
-
+        _write_csv(out / "intensity.csv", ["theta", "intensity"],
+                   ([_fmt(x), _fmt(v)] for x, v in zip(grid, curve)))
     if report.residual_points is not None:
-        with open(os.path.join(args.outdir, "residuals.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"coord{j}" for j in range(samples.space.dim)])
-            for row in report.residual_points:
-                writer.writerow([format(v, ".17g") for v in row])
-
+        _write_csv(out / "residuals.csv", [f"coord{j}" for j in range(samples.space.dim)],
+                   ([_fmt(v) for v in row] for row in report.residual_points))
     if recon_columns is not None:
-        with open(os.path.join(args.outdir, "reconstruction.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["y", "bma", "model"])
-            for vals in zip(*recon_columns):
-                writer.writerow([format(v, ".17g") for v in vals])
-
+        _write_csv(out / "reconstruction.csv", ["y", "bma", "model"],
+                   ([_fmt(v) for v in vals] for vals in zip(*recon_columns)))
     print(f"report written to {args.outdir}")
     return EXIT_OK
 
 
 def _cmd_montecarlo(args) -> int:
-    overrides = {}
+    settings = {}
     if args.config:
-        overrides = _read_json(args.config)
-        unknown = set(overrides) - {"signal", "chain", "fit", "reconstruction_draws", "replicates"}
+        settings = storage.parse_json_object(Path(args.config).read_text(encoding="utf-8"), args.config)
+        unknown = set(settings) - {"signal", "chain", "fit", "reconstruction_draws", "replicates"}
         if unknown:
             raise storage.StorageError(f"unknown montecarlo config keys: {sorted(unknown)}")
     cfg = montecarlo.MonteCarloConfig(
-        replicates=args.replicates or overrides.get("replicates", 100),
-        master_seed=args.seed,
-        signal=overrides.get("signal", {}),
-        chain={
-            **overrides.get("chain", {}),
-            **({"iterations": args.iterations} if args.iterations else {}),
-            **({"burn_in": args.burn_in} if args.burn_in is not None else {}),
-        },
-        fit=overrides.get("fit", {}),
-        reconstruction_draws=args.draws or overrides.get("reconstruction_draws", 10_000),
+        master_seed=args.seed, **{**settings, **_given(args, montecarlo.MonteCarloConfig)}
     )
+    chain = _given(args, SinChainConfig)
+    if chain:
+        cfg = dataclasses.replace(cfg, chain={**cfg.chain, **chain})
     rows = montecarlo.run_monte_carlo(cfg)
     montecarlo.write_mc_csv(rows, args.out)
     ok = sum(1 for r in rows if r.get("status") == "ok")
@@ -315,13 +267,10 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_oracle(args) -> int:
     """Re-run the cheap cross-checks that back the test suite."""
-    from scipy import integrate
-    from scipy.special import logsumexp
-
+    from . import oracle
     from .diagnostics import approx_posterior_k
     from .model import ApproxModel, GaussianComponent, ParamSpace
-    from .muons import expected_bin_counts, pulse_density
-    from .muons import PECountSignal as _PE
+    from .muons import expected_bin_counts
     from .sinusoid import log_marginal_likelihood
 
     checks = [args.check] if args.check else ["gates", "sin-marginal", "pulse-bin"]
@@ -329,8 +278,6 @@ def _cmd_oracle(args) -> int:
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
 
     if "gates" in checks:
-        import itertools
-
         pis = rng.uniform(0.05, 0.95, size=8)
         space = ParamSpace(np.array([[0.0, 1.0]]))
         comps = [
@@ -338,10 +285,7 @@ def _cmd_oracle(args) -> int:
             for m, p in zip(rng.uniform(0.1, 0.9, size=8), pis)
         ]
         p = approx_posterior_k(ApproxModel(space, comps, 0.0))
-        brute = np.zeros(9)
-        for gates in itertools.product((0, 1), repeat=8):
-            brute[sum(gates)] += np.prod(np.where(gates, pis, 1.0 - pis))
-        err = float(np.abs(p[:9] - brute).max())
+        err = float(np.abs(p[:9] - oracle.gate_count_law(pis)).max())
         ok = err < 1e-12
         failures += not ok
         print(f"gates: max abs deviation from enumeration {err:.3e} "
@@ -350,7 +294,7 @@ def _cmd_oracle(args) -> int:
     if "sin-marginal" in checks:
         sig = generate_synthetic_signal(1, [0.9], [4.0], [0.3], 7.0, 8, seed=5)
         got = log_marginal_likelihood([0.9], sig.y, 8.0)
-        ref = _quadrature_marginal(sig.y, 0.9, 8.0, logsumexp)
+        ref = oracle.quadrature_log_marginal(sig.y, 0.9, 8.0)
         err = abs(got - ref)
         ok = err < 1e-3
         failures += not ok
@@ -358,56 +302,27 @@ def _cmd_oracle(args) -> int:
               f"diff {err:.2e} ({'ok' if ok else 'FAIL'})")
 
     if "pulse-bin" in checks:
-        sig = _PE(np.zeros(20, dtype=np.int64))
-        out = expected_bin_counts([(100.0, 3.2)], sig)
-        ref, _ = integrate.quad(
-            lambda s: 3.2 * pulse_density(s - 100.0), 150.0, 175.0,
-            epsabs=1e-14, epsrel=1e-14,
-        )
-        err = abs(out[6] - ref) / ref
+        sig = PECountSignal(np.zeros(20, dtype=np.int64))
+        muon = [(100.0, 3.2)]
+        out = expected_bin_counts(muon, sig)[6]
+        ref = oracle.pulse_bin_quadrature(muon, sig.edges()[6:8])[0]
+        err = abs(out - ref) / ref
         ok = err < 1e-8
         failures += not ok
-        print(f"pulse-bin: closed form {out[6]:.12f} quadrature {ref:.12f} "
+        print(f"pulse-bin: closed form {out:.12f} quadrature {ref:.12f} "
               f"rel diff {err:.2e} ({'ok' if ok else 'FAIL'})")
 
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
-def _quadrature_marginal(y, omega, delta2, logsumexp):
-    N = y.size
-    D = design_matrix(np.array([omega]), N)
-    G = D.T @ D
-    Dty = D.T @ y
-    yty = float(y @ y)
-    ols = np.linalg.solve(G, Dty)
-    s2c = (yty - Dty @ ols) / N
-    na, ns = 120, 160
-    half = math.sqrt(s2c * 2 / N) * 12 + 3.0
-    ac = np.linspace(ols[0] - half, ols[0] + half, na)
-    as_ = np.linspace(ols[1] - half, ols[1] + half, na)
-    ls2 = np.linspace(math.log(s2c) - 6, math.log(s2c) + 6, ns)
-    s2 = np.exp(ls2)
-    AC, AS = np.meshgrid(ac, as_, indexing="ij")
-    quad_form = AC**2 * G[0, 0] + 2 * AC * AS * G[0, 1] + AS**2 * G[1, 1]
-    rss = yty - 2 * (AC * Dty[0] + AS * Dty[1]) + quad_form
-    logdet = math.log(np.linalg.det(G))
-    cube = np.empty((na, na, ns))
-    for i, s in enumerate(s2):
-        cube[:, :, i] = (
-            -0.5 * N * math.log(2 * math.pi * s)
-            - rss / (2 * s)
-            - math.log(2 * math.pi * delta2 * s)
-            + 0.5 * logdet
-            - quad_form / (2 * delta2 * s)
-            - math.log(s)
-        )
-    steps = math.log((ac[1] - ac[0]) * (as_[1] - as_[0]) * (ls2[1] - ls2[0]))
-    return float(logsumexp(cube + np.log(s2)[None, None, :]) + steps)
-
-
 # ---------------------------------------------------------------------------
 # parser assembly
 # ---------------------------------------------------------------------------
+
+
+def _config_option(p, flag, field, **kwargs):
+    """An option that sets the config field ``field``; its default is the field's."""
+    p.add_argument(flag, dest=field, default=argparse.SUPPRESS, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,17 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, nargs="+")
     p.add_argument("--energy", type=float, nargs="+")
     p.add_argument("--phase", type=float, nargs="+")
-    p.add_argument("--snr-db", type=float, default=7.0)
-    p.add_argument("--length", type=int, default=64)
-    p.add_argument("--iterations", type=int, default=100_000)
-    p.add_argument("--burn-in", type=int, default=20_000)
-    p.add_argument("--thinning", type=int, default=5)
-    p.add_argument("--k-max", type=int, default=20)
-    p.add_argument("--rw-step", type=float, default=0.01)
-    p.add_argument("--delta2", type=float, default=20.0)
-    p.add_argument("--fix-delta2", action="store_true")
-    p.add_argument("--rate", type=float, default=3.0)
-    p.add_argument("--fix-rate", action="store_true")
+    _config_option(p, "--iterations", "iterations", type=int)
+    _config_option(p, "--burn-in", "burn_in", type=int)
+    _config_option(p, "--thinning", "thinning", type=int)
+    _config_option(p, "--k-max", "k_max", type=int)
+    _config_option(p, "--rw-step", "rw_step", type=float)
+    _config_option(p, "--delta2", "delta2_init", type=float)
+    _config_option(p, "--fix-delta2", "sample_delta2", action="store_false")
+    _config_option(p, "--rate", "rate_init", type=float)
+    _config_option(p, "--fix-rate", "sample_rate", action="store_false")
     p.set_defaults(func=_cmd_simulate_sin)
 
     p = sub.add_parser("simulate-auger", help="synthesize a photoelectron trace and sample it")
@@ -441,20 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal-in")
     p.add_argument("--muon", action="append", metavar="T:A")
     p.add_argument("--bins", type=int, default=30)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t-delta", type=float, default=25.0)
-    p.add_argument("--rise-time", type=float, default=15.0)
-    p.add_argument("--decay", type=float, default=67.0)
-    p.add_argument("--iterations", type=int, default=100_000)
-    p.add_argument("--burn-in", type=int, default=20_000)
-    p.add_argument("--thinning", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=20)
-    p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--t-step", type=float, default=20.0)
-    p.add_argument("--log-a-step", type=float, default=0.3)
-    p.add_argument("--amp-alpha", type=float, default=2.0)
-    p.add_argument("--amp-beta", type=float, default=0.05)
-    p.add_argument("--a-max", type=float, default=500.0)
+    _config_option(p, "--t0", "t0", type=float)
+    _config_option(p, "--t-delta", "t_delta", type=float)
+    _config_option(p, "--rise-time", "rise_time", type=float)
+    _config_option(p, "--decay", "decay", type=float)
+    _config_option(p, "--iterations", "iterations", type=int)
+    _config_option(p, "--burn-in", "burn_in", type=int)
+    _config_option(p, "--thinning", "thinning", type=int)
+    _config_option(p, "--k-max", "k_max", type=int)
+    _config_option(p, "--rate", "rate", type=float)
+    _config_option(p, "--t-step", "t_step", type=float)
+    _config_option(p, "--log-a-step", "log_a_step", type=float)
+    _config_option(p, "--amp-alpha", "amp_alpha", type=float)
+    _config_option(p, "--amp-beta", "amp_beta", type=float)
+    _config_option(p, "--a-max", "a_max", type=float)
     p.set_defaults(func=_cmd_simulate_auger)
 
     p = sub.add_parser("fit", help="fit the gated-Gaussian approximation to samples")
@@ -463,16 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--trace-out")
     p.add_argument("--allocations-out")
-    p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--window", type=int, default=50)
-    p.add_argument("--inner-steps", type=int, default=1)
-    p.add_argument("--prune-threshold", type=int, default=10)
-    p.add_argument("--init-pi", type=float, default=0.9)
-    p.add_argument("--init-lambda", type=float, default=0.1)
-    p.add_argument("--init-rule", choices=("percentile", "threshold", "fixed"), default="percentile")
-    p.add_argument("--percentile", type=float, default=0.9)
-    p.add_argument("--threshold", type=float, default=0.05)
-    p.add_argument("--fixed-l", type=int)
+    _config_option(p, "--iterations", "iterations", type=int)
+    _config_option(p, "--window", "averaging_window", type=int)
+    _config_option(p, "--inner-steps", "imh_inner_steps", type=int)
+    _config_option(p, "--prune-threshold", "prune_threshold", type=int)
+    _config_option(p, "--init-pi", "init_pi", type=float)
+    _config_option(p, "--init-lambda", "init_lambda", type=float)
+    _config_option(p, "--init-rule", "init_rule", choices=("percentile", "threshold", "fixed"))
+    _config_option(p, "--percentile", "percentile_for_L", type=float)
+    _config_option(p, "--threshold", "threshold_for_L", type=float)
+    _config_option(p, "--fixed-l", "fixed_L", type=int)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("report", help="summarize a fitted model against samples")
@@ -492,11 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("montecarlo", help="replicated end-to-end comparison study")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--replicates", type=int)
+    _config_option(p, "--replicates", "replicates", type=int)
     p.add_argument("--config", help="JSON with signal/chain/fit overrides")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--burn-in", type=int)
-    p.add_argument("--draws", type=int)
+    _config_option(p, "--iterations", "iterations", type=int)
+    _config_option(p, "--burn-in", "burn_in", type=int)
+    _config_option(p, "--draws", "reconstruction_draws", type=int)
     p.set_defaults(func=_cmd_montecarlo)
 
     p = sub.add_parser("oracle", help="run the cross-check oracles")
@@ -515,13 +428,8 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except storage.StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ModelError as exc:
+    except (ModelError, OSError, UnicodeDecodeError) as exc:
+        # ModelError covers storage.StorageError: bad files and inconsistent inputs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -22,10 +22,8 @@ from .model import (
     GaussianComponent,
     ModelError,
     SampleSet,
-    VariableDimSample,
     _gaussian_log_densities,
     indicator_from_allocation,
-    labeled_joint_log_density,
 )
 
 __all__ = [
@@ -35,11 +33,8 @@ __all__ = [
     "PruneEvent",
     "choose_component_count",
     "initialize_model",
-    "imh_allocation_step",
     "imh_batch_step",
     "mstep_robust",
-    "mstep_exact",
-    "kl_criterion_estimate",
     "sem_fit",
 ]
 
@@ -319,31 +314,13 @@ def imh_batch_step(points, labels, model, rng):
     return Z1 + 1, accepted, joint
 
 
-def imh_allocation_step(
-    x: VariableDimSample, z_current: AllocationVector, model: ApproxModel, rng
-) -> AllocationVector:
-    """One MH transition of a single sample's allocation.
-
-    The stationary law is the conditional of the allocation given the sample
-    under ``model``.  On rejection the current allocation is returned.
-    """
-    rng = np.random.default_rng(rng)
-    if x.k != z_current.k:
-        raise ModelError(f"sample has k={x.k} but allocation has k={z_current.k}")
-    indicator_from_allocation(z_current, model.L)
-    if x.k == 0:
-        return AllocationVector(np.array([], dtype=np.int64))
-    Z1, _, _ = _imh_transition(x.components[None], z_current.labels[None] - 1, model, rng)
-    return AllocationVector(Z1[0] + 1)
-
-
 # ---------------------------------------------------------------------------
 # M-step
 # ---------------------------------------------------------------------------
 
 
-def _mstep_core(pts, lab, M, L, space, previous, sigma2_floor, robust):
-    """Shared parameter update from flattened (point, label) arrays.
+def _mstep_core(pts, lab, M, L, space, previous, sigma2_floor):
+    """Robust parameter update from flattened (point, label) arrays.
 
     lab is 0-based; label L marks outlier points.  Gaussian labels occur at
     most once per sample, so per-label point counts equal per-label sample
@@ -356,14 +333,9 @@ def _mstep_core(pts, lab, M, L, space, previous, sigma2_floor, robust):
     for l in range(L):
         sel = pts[lab == l]
         if sel.shape[0]:
-            if robust:
-                mu = np.median(sel, axis=0)
-                q25, q75 = np.percentile(sel, [25.0, 75.0], axis=0)
-                sigma2 = ((q75 - q25) / IQR_TO_SIGMA) ** 2
-            else:
-                mu = sel.mean(axis=0)
-                sigma2 = sel.var(axis=0)
-            sigma2 = np.maximum(sigma2, sigma2_floor)
+            mu = np.median(sel, axis=0)
+            q25, q75 = np.percentile(sel, [25.0, 75.0], axis=0)
+            sigma2 = np.maximum(((q75 - q25) / IQR_TO_SIGMA) ** 2, sigma2_floor)
         else:
             mu = previous.components[l].mu.copy()
             sigma2 = previous.components[l].sigma2.copy()
@@ -405,38 +377,8 @@ def mstep_robust(
     if M == 0 or M != len(allocations):
         raise ModelError("samples and allocations must align and be nonempty")
     pts, lab = _flatten_allocated(samples, allocations, L)
-    model, _ = _mstep_core(pts, lab, M, L, samples.space, previous, sigma2_floor, robust=True)
+    model, _ = _mstep_core(pts, lab, M, L, samples.space, previous, sigma2_floor)
     return model
-
-
-def mstep_exact(
-    samples: SampleSet,
-    allocations: list,
-    L: int,
-    previous: ApproxModel,
-    sigma2_floor: float = 1e-10,
-) -> ApproxModel:
-    """Mean/variance variant of the M-step (non-robust sufficient statistics)."""
-    M = len(samples)
-    if M == 0 or M != len(allocations):
-        raise ModelError("samples and allocations must align and be nonempty")
-    pts, lab = _flatten_allocated(samples, allocations, L)
-    model, _ = _mstep_core(pts, lab, M, L, samples.space, previous, sigma2_floor, robust=False)
-    return model
-
-
-def kl_criterion_estimate(samples: SampleSet, allocations: list, model: ApproxModel) -> float:
-    """Completed negative log-likelihood, summed over the sample set.
-
-    Returns +inf when any sample/allocation pair has zero density under the
-    model (a signal, not an error).
-    """
-    if len(samples) != len(allocations):
-        raise ModelError("samples and allocations must align")
-    total = 0.0
-    for x, z in zip(samples.samples, allocations):
-        total -= labeled_joint_log_density(x, z, model)
-    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +451,7 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
         pts = np.concatenate(pts_list) if pts_list else np.zeros((0, space.dim))
         lab = np.concatenate(lab_list) if lab_list else np.zeros(0, dtype=np.int64)
         new_model, counts = _mstep_core(
-            pts, lab, M, model.L, space, model, config.sigma2_floor, robust=True
+            pts, lab, M, model.L, space, model, config.sigma2_floor
         )
 
         trace.criteria.append(criterion)

@@ -9,7 +9,6 @@ absorbs points none of the Gaussians explains.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,9 +30,6 @@ __all__ = [
     "sample_from_model",
     "sample_batch_from_model",
     "model_intensity",
-    "enumerate_allocations",
-    "exact_allocation_log_posterior",
-    "unlabeled_log_density",
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -304,6 +300,20 @@ def _truncated_normal_draws(
     return np.clip(x, lo, hi)
 
 
+def _log_prob_ratio(num: float, den: float) -> float:
+    """log(num/den) for move probabilities; a zero acts as a hard barrier.
+
+    Shared by the birth/death moves of both samplers.
+    """
+    if num == den:
+        return 0.0
+    if num == 0.0:
+        return -math.inf
+    if den == 0.0:
+        return math.inf
+    return math.log(num) - math.log(den)
+
+
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -482,46 +492,3 @@ def model_intensity(theta: np.ndarray, model: ApproxModel) -> np.ndarray | float
         vals = dens @ model.pis()
     return float(vals) if scalar else vals
 
-
-# ---------------------------------------------------------------------------
-# Exact enumeration (small k and L only)
-# ---------------------------------------------------------------------------
-
-
-def enumerate_allocations(k: int, L: int):
-    """Yield every valid label tuple for k points: Gaussian labels unique."""
-    for combo in itertools.product(range(1, L + 2), repeat=k):
-        gauss = [c for c in combo if c <= L]
-        if len(gauss) == len(set(gauss)):
-            yield combo
-
-
-def exact_allocation_log_posterior(
-    x: VariableDimSample, model: ApproxModel
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """All allocations of x with normalized log posterior probabilities."""
-    zs = list(enumerate_allocations(x.k, model.L))
-    logs = np.array(
-        [labeled_joint_log_density(x, AllocationVector(np.array(z, dtype=np.int64)), model) for z in zs]
-    )
-    m = logs.max()
-    if not np.isfinite(m):
-        raise ModelError("sample has zero density under the model")
-    norm = m + math.log(np.exp(np.sort(logs) - m).sum())
-    return zs, logs - norm
-
-
-def unlabeled_log_density(x: VariableDimSample, model: ApproxModel) -> float:
-    """Log density of x, marginalized over allocations by direct enumeration.
-
-    Exponential in k and L; intended for tests and diagnostics on small
-    instances.
-    """
-    zs = list(enumerate_allocations(x.k, model.L))
-    logs = np.array(
-        [labeled_joint_log_density(x, AllocationVector(np.array(z, dtype=np.int64)), model) for z in zs]
-    )
-    m = logs.max()
-    if not np.isfinite(m):
-        return -np.inf
-    return float(m + math.log(np.exp(np.sort(logs) - m).sum()))

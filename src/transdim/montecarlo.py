@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .diagnostics import (
     reconstruction_error_db,
 )
 from .fit import FitConfig, sem_fit
+from .model import ModelError
 from .sinusoid import SinChainConfig, design_matrix, generate_synthetic_signal, rjmcmc_run
 from .storage import spawn_seeds
 
@@ -74,18 +76,24 @@ class MonteCarloConfig:
     intervals: tuple = ((0.0, math.pi / 4), (math.pi / 4, math.pi / 2))
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
-        if self.reconstruction_draws < 1:
-            raise ValueError("need at least one reconstruction draw")
+        for name in ("replicates", "reconstruction_draws"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ModelError(f"{name} must be an integer of at least 1")
+        if not all(isinstance(doc, dict) for doc in (self.signal, self.chain, self.fit)):
+            raise ModelError("signal, chain and fit settings must be mappings")
+        unknown = set(self.signal) - set(_PAPER_SIGNAL)
+        if unknown:
+            raise ModelError(f"unknown signal keys: {sorted(unknown)}")
         self.signal = {**_PAPER_SIGNAL, **self.signal}
-        self.chain = {
-            "iterations": 100_000,
-            "burn_in": 20_000,
-            "thinning": 5,
-            **self.chain,
-        }
         self.fit = {"init_rule": "threshold", **self.fit}
+        # build both configs once, so that a bad key or value fails here
+        # rather than in every replicate
+        try:
+            SinChainConfig(**self.chain)
+            FitConfig(**self.fit)
+        except TypeError as exc:
+            raise ModelError(f"bad chain or fit settings ({exc})") from None
 
 
 def run_replicate(config: MonteCarloConfig, replicate: int, rep_seed: int) -> dict:

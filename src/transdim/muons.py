@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .model import ModelError, ParamSpace, SampleSet
+from .model import ModelError, ParamSpace, SampleSet, _log_prob_ratio
 
 __all__ = [
     "PulseShape",
@@ -205,17 +205,19 @@ def simulate_pe_signal(
     muons,
     n_bins: int,
     shape: PulseShape = PulseShape(),
-    t0: float = 0.0,
-    t_delta: float = 25.0,
     seed=None,
+    **geometry,
 ) -> PECountSignal:
-    """Draw a synthetic count trace: Poisson counts around the bin means."""
+    """Draw a synthetic count trace: Poisson counts around the bin means.
+
+    ``geometry`` takes the ``t0`` and ``t_delta`` of :class:`PECountSignal`.
+    """
     if n_bins < 1:
         raise ModelError("n_bins must be at least 1")
-    geometry = PECountSignal(np.zeros(n_bins, dtype=np.int64), t0, t_delta)
-    nbar = expected_bin_counts(muons, geometry, shape)
+    empty = PECountSignal(np.zeros(n_bins, dtype=np.int64), **geometry)
+    nbar = expected_bin_counts(muons, empty, shape)
     rng = np.random.default_rng(seed)
-    return PECountSignal(rng.poisson(nbar), t0, t_delta)
+    return PECountSignal(rng.poisson(nbar), empty.t0, empty.t_delta)
 
 
 @dataclass
@@ -265,17 +267,6 @@ class AugerChainConfig:
             raise ModelError("a_max must be positive")
         if len(self.init_muons) > self.k_max:
             raise ModelError("more initial muons than k_max allows")
-
-
-def _log_prob_ratio(num: float, den: float) -> float:
-    """log(num/den) for move probabilities; a zero acts as a hard barrier."""
-    if num == den:
-        return 0.0
-    if num == 0.0:
-        return -math.inf
-    if den == 0.0:
-        return math.inf
-    return math.log(num) - math.log(den)
 
 
 def _default_init(signal: PECountSignal) -> np.ndarray:

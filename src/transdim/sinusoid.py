@@ -17,7 +17,7 @@ import numpy as np
 from scipy import linalg
 from scipy.special import gammaln
 
-from .model import ModelError, ParamSpace, SampleSet
+from .model import ModelError, ParamSpace, SampleSet, _log_prob_ratio
 
 __all__ = [
     "SinusoidSignal",
@@ -270,17 +270,6 @@ def generate_synthetic_signal(
 # ---------------------------------------------------------------------------
 # Chain moves
 # ---------------------------------------------------------------------------
-
-
-def _log_prob_ratio(num: float, den: float) -> float:
-    """log(num/den) for move probabilities; a zero acts as a hard barrier."""
-    if num == den:
-        return 0.0
-    if num == 0.0:
-        return -math.inf
-    if den == 0.0:
-        return math.inf
-    return math.log(num) - math.log(den)
 
 
 def birth_state(omega: np.ndarray, new: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""File formats and reproducible run configuration.
+"""File formats and seed derivation.
 
 Sample sets travel as a one-line JSON header followed by one whitespace
 record per sample; models and reports are JSON documents; photoelectron
@@ -9,22 +9,17 @@ digits so that a write/read cycle is lossless.
 from __future__ import annotations
 
 import csv
-import dataclasses
-import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fit import FitConfig
 from .model import ApproxModel, GaussianComponent, ModelError, ParamSpace, SampleSet
-from .muons import AugerChainConfig, PECountSignal, PulseShape
-from .sinusoid import SinChainConfig
+from .muons import PECountSignal
 
 __all__ = [
     "StorageError",
-    "RunConfig",
+    "parse_json_object",
     "write_samples",
     "read_samples",
     "write_model",
@@ -46,6 +41,17 @@ class StorageError(ModelError):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def parse_json_object(text: str, what: str) -> dict:
+    """Parse a JSON document that must be an object; ``what`` names it in errors."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise StorageError(f"{what} is not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise StorageError(f"{what} is not a JSON object")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +86,7 @@ def read_samples(path) -> SampleSet:
         first = fh.readline()
         if not first:
             raise StorageError("empty file: missing header")
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise StorageError(f"line 1: header is not valid JSON ({exc})") from None
+        header = parse_json_object(first, "line 1: header")
         if header.get("format") != SAMPLES_FORMAT:
             raise StorageError(f"line 1: not a {SAMPLES_FORMAT} file")
         if header.get("version") != FORMAT_VERSION:
@@ -96,10 +99,13 @@ def read_samples(path) -> SampleSet:
                 [[float(lo), float(hi)] for lo, hi in header["bounds"]]
             )
             space = ParamSpace(bounds)
-        except (KeyError, TypeError, ValueError, ModelError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ModelError) as exc:
             raise StorageError(f"line 1: bad header fields ({exc})") from None
         if space.dim != d:
             raise StorageError("line 1: bounds do not match the declared dimension")
+        provenance = header.get("provenance") or {}
+        if not isinstance(provenance, dict):
+            raise StorageError("line 1: provenance is not a JSON object")
 
         raw: list[np.ndarray] = []
         for lineno, line in enumerate(fh, start=2):
@@ -118,7 +124,7 @@ def read_samples(path) -> SampleSet:
             if not all(math.isfinite(v) for v in values):
                 raise StorageError(f"line {lineno}: non-finite value")
             raw.append(np.array(values).reshape(k, d))
-        return SampleSet.ingest(space, raw, header.get("provenance") or {})
+        return SampleSet.ingest(space, raw, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +154,7 @@ def write_model(model: ApproxModel, path) -> None:
 
 def read_model(path) -> ApproxModel:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StorageError(f"model file is not valid JSON ({exc})") from None
+        doc = parse_json_object(fh.read(), "model file")
     if doc.get("format") != MODEL_FORMAT or doc.get("version") != FORMAT_VERSION:
         raise StorageError("not a supported model file")
     try:
@@ -165,7 +168,7 @@ def read_model(path) -> ApproxModel:
             for c in doc["components"]
         ]
         return ApproxModel(space, comps, float(doc["lam"]))
-    except (KeyError, TypeError, ValueError, ModelError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ModelError) as exc:
         raise StorageError(f"bad model document ({exc})") from None
 
 
@@ -192,19 +195,21 @@ def write_pe_signal(signal: PECountSignal, path) -> None:
 
 
 def read_pe_signal(path) -> PECountSignal:
+    """Read a trace; geometry missing from the comment keeps PECountSignal's defaults."""
     with open(path, "r", encoding="utf-8") as fh:
         comment = fh.readline().strip()
-        t0, t_delta = 0.0, 25.0
+        geometry, first = {}, [comment]
         if comment.startswith("#"):
             try:
                 parts = dict(p.split("=", 1) for p in comment[1:].split())
-                t0 = float(parts.get("t0", t0))
-                t_delta = float(parts.get("t_delta", t_delta))
-            except (ValueError, TypeError):
+                geometry = {k: float(parts[k]) for k in ("t0", "t_delta") if k in parts}
+            except ValueError:
                 raise StorageError("malformed geometry comment") from None
-            rows = list(csv.reader(fh))
-        else:
-            rows = list(csv.reader([comment])) + list(csv.reader(fh))
+            first = []
+        try:
+            rows = list(csv.reader(first)) + list(csv.reader(fh))
+        except csv.Error as exc:
+            raise StorageError(f"malformed CSV ({exc})") from None
         if not rows or rows[0] != ["bin", "count"]:
             raise StorageError("missing 'bin,count' header row")
         counts = []
@@ -219,112 +224,17 @@ def read_pe_signal(path) -> PECountSignal:
                 raise StorageError(f"record {lineno}: bins out of order")
             counts.append(val)
         try:
-            return PECountSignal(np.array(counts, dtype=np.int64), t0, t_delta)
-        except ModelError as exc:
+            return PECountSignal(np.array(counts, dtype=np.int64), **geometry)
+        except (OverflowError, ModelError) as exc:
             raise StorageError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
-# run configuration
+# seeds
 # ---------------------------------------------------------------------------
-
-
-_SIN_SIGNAL_KEYS = {"k", "omega", "energies", "phases", "snr_db", "n", "seed"}
-_AUGER_SIGNAL_KEYS = {"muons", "n_bins", "t0", "t_delta", "rise_time", "decay", "seed"}
-
-
-def _config_field_names(cls) -> set:
-    return {f.name for f in dataclasses.fields(cls)}
 
 
 def spawn_seeds(master: int, count: int) -> list[int]:
     """Deterministic per-replicate seeds derived from one master seed."""
     seqs = np.random.SeedSequence(master).spawn(count)
     return [int(s.generate_state(1, dtype=np.uint64)[0]) for s in seqs]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One experiment, fully described: signal, chain, and fit settings.
-
-    The canonical JSON form (sorted keys, no whitespace) is stable across
-    processes, so its digest identifies a run.
-    """
-
-    experiment: str
-    signal: dict = field(default_factory=dict)
-    chain: dict = field(default_factory=dict)
-    fit: dict = field(default_factory=dict)
-    seed: int | None = None
-
-    _TOP_KEYS = ("experiment", "signal", "chain", "fit", "seed")
-
-    def __post_init__(self):
-        if self.experiment not in ("sin", "auger"):
-            raise StorageError(f"unknown experiment {self.experiment!r}")
-        chain_cls = SinChainConfig if self.experiment == "sin" else AugerChainConfig
-        allowed_chain = _config_field_names(chain_cls)
-        unknown = set(self.chain) - allowed_chain
-        if unknown:
-            raise StorageError(f"unknown chain keys: {sorted(unknown)}")
-        allowed_signal = _SIN_SIGNAL_KEYS if self.experiment == "sin" else _AUGER_SIGNAL_KEYS
-        unknown = set(self.signal) - allowed_signal
-        if unknown:
-            raise StorageError(f"unknown signal keys: {sorted(unknown)}")
-        unknown = set(self.fit) - _config_field_names(FitConfig)
-        if unknown:
-            raise StorageError(f"unknown fit keys: {sorted(unknown)}")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise StorageError("configuration must be a JSON object")
-        unknown = set(doc) - set(cls._TOP_KEYS)
-        if unknown:
-            raise StorageError(f"unknown configuration keys: {sorted(unknown)}")
-        if "experiment" not in doc:
-            raise StorageError("configuration needs an 'experiment' entry")
-        return cls(
-            experiment=doc["experiment"],
-            signal=dict(doc.get("signal") or {}),
-            chain=dict(doc.get("chain") or {}),
-            fit=dict(doc.get("fit") or {}),
-            seed=doc.get("seed"),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "signal": dict(self.signal),
-            "chain": dict(self.chain),
-            "fit": dict(self.fit),
-            "seed": self.seed,
-        }
-
-    def canonical(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
-
-    def chain_config(self, seed: int | None = None):
-        kwargs = dict(self.chain)
-        if seed is not None:
-            kwargs["rng_seed"] = seed
-        elif "rng_seed" not in kwargs and self.seed is not None:
-            kwargs["rng_seed"] = self.seed
-        if self.experiment == "sin":
-            if "init_omega" in kwargs:
-                kwargs["init_omega"] = tuple(kwargs["init_omega"])
-            return SinChainConfig(**kwargs)
-        if "pulse" in kwargs and isinstance(kwargs["pulse"], dict):
-            kwargs["pulse"] = PulseShape(**kwargs["pulse"])
-        if "init_muons" in kwargs:
-            kwargs["init_muons"] = tuple(tuple(m) for m in kwargs["init_muons"])
-        return AugerChainConfig(**kwargs)
-
-    def fit_config(self, seed: int | None = None) -> FitConfig:
-        kwargs = dict(self.fit)
-        if seed is not None:
-            kwargs["rng_seed"] = seed
-        return FitConfig(**kwargs)

@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 from transdim import cli, montecarlo
-from transdim.storage import read_model, read_samples
+from transdim.fit import FitConfig, sem_fit
+from transdim.model import ModelError
+from transdim.muons import AugerChainConfig, rjmcmc_run_auger, simulate_pe_signal
+from transdim.sinusoid import SinChainConfig, generate_synthetic_signal, rjmcmc_run
+from transdim.storage import read_model, read_samples, spawn_seeds, write_model, write_samples
 
 SIN_FAST = [
     "--iterations", "3000", "--burn-in", "600", "--thinning", "2",
@@ -67,6 +71,18 @@ def test_bad_samples_file_is_data_error(tmp_path):
 
 def test_missing_input_file_is_data_error(tmp_path):
     rc = cli.main(["fit", "--samples", str(tmp_path / "nope"), "--seed", "1",
+                   "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("kind", ["binary", "directory"])
+def test_unreadable_samples_file_is_data_error(tmp_path, kind):
+    path = tmp_path / "in.samples"
+    if kind == "binary":
+        path.write_bytes(b"\xff\xfe\x00 not utf-8\n")
+    else:
+        path.mkdir()
+    rc = cli.main(["fit", "--samples", str(path), "--seed", "1",
                    "--out", str(tmp_path / "m.json")])
     assert rc == 2
 
@@ -179,6 +195,18 @@ def test_report_reconstruction_without_seed_is_data_error(sin_run, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("doc", [{"clean": [0.0, 1.0]}, [1, 2], {"y": "abc"}, {"y": [[1.0]]}])
+def test_report_signal_without_numeric_y_is_data_error(sin_run, tmp_path, doc):
+    signal = tmp_path / "signal.json"
+    signal.write_text(json.dumps(doc))
+    rc = cli.main(
+        ["report", "--model", str(sin_run / "model.json"),
+         "--samples", str(sin_run / "draws.samples"),
+         "--outdir", str(tmp_path / "r"), "--signal", str(signal), "--seed", "1"]
+    )
+    assert rc == 2
+
+
 def test_report_bad_interval_is_data_error(sin_run, tmp_path):
     rc = cli.main(
         ["report", "--model", str(sin_run / "model.json"),
@@ -221,6 +249,47 @@ def test_simulate_auger_signal_round_trips_through_cli(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     ss = read_samples(out1)
     assert ss.space.dim == 2
+
+
+def _library_simulate_sin(seed, out):
+    sig_seed, chain_seed = spawn_seeds(seed, 2)
+    sp = montecarlo._PAPER_SIGNAL
+    sig = generate_synthetic_signal(
+        sp["k"], sp["omega"], sp["energies"], sp["phases"], sp["snr_db"], sp["n"], seed=sig_seed
+    )
+    write_samples(rjmcmc_run(sig, SinChainConfig(iterations=1500, burn_in=300, rng_seed=chain_seed)), out)
+
+
+def _library_simulate_auger(seed, out):
+    sig_seed, chain_seed = spawn_seeds(seed, 2)
+    sig = simulate_pe_signal([(150.0, 60.0)], 30, seed=sig_seed)
+    write_samples(rjmcmc_run_auger(sig, AugerChainConfig(iterations=1200, burn_in=200, rng_seed=chain_seed)), out)
+
+
+def _library_fit(seed, out, samples):
+    result = sem_fit(read_samples(samples), FitConfig(iterations=10, averaging_window=5, rng_seed=seed))
+    write_model(result.model, out)
+
+
+@pytest.mark.parametrize("command", ["simulate-sin", "simulate-auger", "fit"])
+def test_cli_defaults_are_the_config_class_defaults(sin_run, tmp_path, command):
+    """Given only lengths, each command writes what the library call with
+    default configs and spawn_seeds seeds writes."""
+    cli_out, lib_out = tmp_path / "cli.out", tmp_path / "lib.out"
+    samples = sin_run / "draws.samples"
+    argv = {
+        "simulate-sin": ["--iterations", "1500", "--burn-in", "300"],
+        "simulate-auger": ["--muon", "150:60", "--iterations", "1200", "--burn-in", "200"],
+        "fit": ["--samples", str(samples), "--iterations", "10", "--window", "5"],
+    }[command]
+    assert cli.main([command, "--seed", "8", "--out", str(cli_out)] + argv) == 0
+    if command == "simulate-sin":
+        _library_simulate_sin(8, lib_out)
+    elif command == "simulate-auger":
+        _library_simulate_auger(8, lib_out)
+    else:
+        _library_fit(8, lib_out, samples)
+    assert cli_out.read_bytes() == lib_out.read_bytes()
 
 
 def test_oracle_subcommand_passes():
@@ -307,6 +376,41 @@ def test_montecarlo_cli_writes_table(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert all(r["status"] == "ok" for r in rows)
+
+
+def test_montecarlo_config_rejects_unknown_keys():
+    with pytest.raises(ModelError, match="temperature"):
+        montecarlo.MonteCarloConfig(chain={"temperature": 1})
+    with pytest.raises(ModelError, match="learning_rate"):
+        montecarlo.MonteCarloConfig(fit={"learning_rate": 0.1})
+    with pytest.raises(ModelError, match="unknown signal keys"):
+        montecarlo.MonteCarloConfig(signal={"muons": []})
+
+
+@pytest.mark.parametrize("field", ["replicates", "reconstruction_draws"])
+def test_montecarlo_config_rejects_counts_below_one(field):
+    with pytest.raises(ModelError, match=field):
+        montecarlo.MonteCarloConfig(**{field: 0})
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ({"chain": {"temperature": 1}}, []),
+        ({"replicates": 0}, []),
+        ({"reconstruction_draws": 0}, []),
+        ({}, ["--replicates", "0"]),
+        ({}, ["--draws", "0"]),
+    ],
+)
+def test_montecarlo_cli_bad_settings_are_data_errors(tmp_path, config, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    short = ["--iterations", "300", "--burn-in", "100"]  # keeps a regression quick
+    rc = cli.main(["montecarlo", "--seed", "1", "--out", str(out), "--config", str(cfg)] + short + flags)
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_montecarlo_cli_rejects_unknown_config_keys(tmp_path):

@@ -3,7 +3,6 @@ oracles for interval expectations, planted-outlier recovery, and
 reconstruction checks against closed-form least squares.
 """
 
-import itertools
 import json
 import math
 
@@ -35,6 +34,7 @@ from transdim.model import (
     model_intensity,
     sample_batch_from_model,
 )
+from transdim.oracle import gate_count_law
 from transdim.sinusoid import SinChainConfig, design_matrix, generate_synthetic_signal, rjmcmc_run
 
 UNIT = ParamSpace(np.array([[0.0, 1.0]]))
@@ -83,11 +83,7 @@ def test_posterior_k_matches_gate_enumeration():
         rng.uniform(0.1, 0.9, size=10), np.full(10, 0.01), pis, 0.0
     )
     p = approx_posterior_k(model)
-    brute = np.zeros(11)
-    for gates in itertools.product((0, 1), repeat=10):
-        prob = np.prod(np.where(gates, pis, 1.0 - pis))
-        brute[sum(gates)] += prob
-    np.testing.assert_allclose(p[:11], brute, atol=1e-12)
+    np.testing.assert_allclose(p[:11], gate_count_law(pis), atol=1e-12)
     # the folded remainder entry absorbs float rounding from the convolution
     assert np.all(p[11:] < 1e-12)
 

@@ -15,11 +15,8 @@ import pytest
 from transdim.fit import (
     FitConfig,
     choose_component_count,
-    imh_allocation_step,
     imh_batch_step,
     initialize_model,
-    kl_criterion_estimate,
-    mstep_exact,
     mstep_robust,
     sem_fit,
 )
@@ -31,11 +28,11 @@ from transdim.model import (
     ParamSpace,
     SampleSet,
     VariableDimSample,
-    exact_allocation_log_posterior,
     indicator_from_allocation,
     labeled_joint_log_density,
     sample_batch_from_model,
 )
+from transdim.oracle import exact_allocation_log_posterior
 
 
 def make_model(bounds, mus, sigma2s, pis, lam):
@@ -131,10 +128,15 @@ def ambiguous_model():
 
 
 def test_imh_empty_sample_is_identity(ambiguous_model):
-    x = VariableDimSample(np.zeros((0, 1)))
-    z = AllocationVector(np.array([], dtype=int))
-    out = imh_allocation_step(x, z, ambiguous_model, 0)
-    assert out.k == 0
+    P = np.zeros((1, 0, 1))
+    Z = np.zeros((1, 0), dtype=np.int64)
+    Z1, accepted, joint = imh_batch_step(P, Z, ambiguous_model, 0)
+    assert Z1.shape == (1, 0)
+    assert np.all(accepted)
+    ref = labeled_joint_log_density(
+        VariableDimSample(np.zeros((0, 1))), AllocationVector(np.array([], dtype=int)), ambiguous_model
+    )
+    assert joint[0] == pytest.approx(ref, rel=1e-12)
 
 
 def test_imh_single_state_always_accepts():
@@ -145,14 +147,6 @@ def test_imh_single_state_always_accepts():
     Z1, accepted, _ = imh_batch_step(P, Z, model, np.random.default_rng(3))
     assert np.all(Z1 == 1)
     assert np.all(accepted)
-
-
-def test_imh_validates_current_allocation(ambiguous_model):
-    x = VariableDimSample(np.array([[0.4], [0.6]]))
-    with pytest.raises(ModelError):
-        imh_allocation_step(x, AllocationVector(np.array([1, 1])), ambiguous_model, 0)
-    with pytest.raises(ModelError):
-        imh_allocation_step(x, AllocationVector(np.array([1])), ambiguous_model, 0)
 
 
 def _tv(freqs: dict, exact: dict) -> float:
@@ -290,68 +284,33 @@ def test_mstep_applies_variance_floor():
     assert model.components[0].sigma2[0] == 1e-10
 
 
-def test_exact_mstep_maximizes_completed_likelihood():
-    """With mean/variance statistics the update should beat any nearby
-    parameter choice on the completed negative log-likelihood."""
-    space = ParamSpace(np.array([[-50.0, 50.0]]))
-    rng = np.random.default_rng(8)
-    vals = rng.normal(1.3, 0.8, size=40)
-    arrays = [np.array([[v]]) for v in vals]
-    allocs = [AllocationVector(np.array([1]))] * 30 + [
-        AllocationVector(np.array([2]))
-    ] * 10
-    ss = as_sampleset(space, arrays)
-    prev = make_model([(-50.0, 50.0)], [[0.0]], [[1.0]], [0.5], 0.5)
-    fitted = mstep_exact(ss, allocs, 1, prev)
-    base = kl_criterion_estimate(ss, allocs, fitted)
-
-    def perturbed(dmu=0.0, fsig=1.0, dpi=0.0, dlam=0.0):
-        c = fitted.components[0]
-        comp = GaussianComponent(c.mu + dmu, c.sigma2 * fsig, min(1.0, max(1e-6, c.pi + dpi)))
-        return ApproxModel(space, [comp], max(0.0, fitted.lam + dlam))
-
-    for kwargs in (
-        {"dmu": 0.01}, {"dmu": -0.01},
-        {"fsig": 1.03}, {"fsig": 0.97},
-        {"dpi": -0.02}, {"dpi": 0.02},
-        {"dlam": 0.02}, {"dlam": -0.02},
-    ):
-        other = kl_criterion_estimate(ss, allocs, perturbed(**kwargs))
-        assert base <= other + 1e-9, f"update beaten by perturbation {kwargs}"
-
-
 # ---------------------------------------------------------------------------
 # criterion
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_negates_single_joint_density():
-    model = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [0.8], 0.1)
-    space = model.space
-    ss = as_sampleset(space, [np.array([[0.5]])])
-    allocs = [AllocationVector(np.array([1]))]
-    expected = -labeled_joint_log_density(ss.samples[0], allocs[0], model)
-    assert kl_criterion_estimate(ss, allocs, model) == pytest.approx(expected, rel=1e-14)
-
-
-def test_criterion_additive_under_duplication():
+def test_sem_fit_criterion_negates_joint_density():
+    """The first criterion is minus the summed joint log density of the
+    allocations it produced, under the initial model."""
     model = make_model([(0.0, 1.0)], [[0.3], [0.7]], [[0.01], [0.04]], [0.7, 0.4], 0.3)
-    rng = np.random.default_rng(21)
-    raw, labs = sample_batch_from_model(model, 25, rng)
+    raw, _ = sample_batch_from_model(model, 300, np.random.default_rng(21))
     ss = SampleSet.ingest(model.space, raw)
-    allocs = [AllocationVector(l) for l in labs]
-    single = kl_criterion_estimate(ss, allocs, model)
-    doubled = SampleSet.ingest(model.space, raw + raw)
-    assert kl_criterion_estimate(doubled, allocs + allocs, model) == pytest.approx(
-        2 * single, rel=1e-13
+    cfg = FitConfig(iterations=1, averaging_window=1, prune_threshold=0, rng_seed=4)
+    result = sem_fit(ss, cfg)
+    start = initialize_model(ss, cfg)
+    expected = -sum(
+        labeled_joint_log_density(x, z, start) for x, z in zip(ss.samples, result.allocations)
     )
+    assert result.trace.criteria[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_criterion_signals_zero_density_as_infinity():
-    model = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [1.0], 0.0)
-    ss = as_sampleset(model.space, [np.zeros((0, 1))])
-    allocs = [AllocationVector(np.array([], dtype=int))]
-    assert kl_criterion_estimate(ss, allocs, model) == math.inf
+    # an initial gate with pi = 1 gives every empty sample zero density
+    space = ParamSpace(np.array([[0.0, 1.0]]))
+    ss = as_sampleset(space, [np.zeros((0, 1))] * 5 + [np.array([[0.5]])] * 5)
+    cfg = FitConfig(iterations=1, averaging_window=1, prune_threshold=0,
+                    init_rule="fixed", fixed_L=1, init_pi=1.0)
+    assert sem_fit(ss, cfg).trace.criteria[0] == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,13 @@ from transdim.model import (
     VariableDimSample,
     allocation_log_prior,
     component_log_density,
-    enumerate_allocations,
-    exact_allocation_log_posterior,
     indicator_from_allocation,
     labeled_joint_log_density,
     model_intensity,
     sample_batch_from_model,
     sample_from_model,
-    unlabeled_log_density,
 )
+from transdim.oracle import enumerate_allocations, exact_allocation_log_posterior, unlabeled_log_density
 
 
 def make_model(bounds, mus, sigma2s, pis, lam):

@@ -15,6 +15,7 @@ from scipy import stats
 from scipy.special import gammaln, logsumexp
 
 from transdim.model import ModelError
+from transdim.oracle import quadrature_log_marginal
 from transdim.sinusoid import (
     SinChainConfig,
     SinusoidSignal,
@@ -115,37 +116,8 @@ def test_marginal_likelihood_matches_three_dim_quadrature():
     """Closed form against brute-force integration over the amplitude pair
     and the noise variance under their priors (N=8, k=1)."""
     sig = generate_synthetic_signal(1, [0.9], [4.0], [0.3], 7.0, 8, seed=5)
-    y, N, d2, w = sig.y, 8, 8.0, 0.9
-    D = design_matrix(np.array([w]), N)
-    G = D.T @ D
-    Dty = D.T @ y
-    yty = float(y @ y)
-    ols = np.linalg.solve(G, Dty)
-    s2c = (yty - Dty @ ols) / N
-
-    na, ns = 120, 160
-    half = math.sqrt(s2c * 2 / N) * 12 + 3.0
-    ac = np.linspace(ols[0] - half, ols[0] + half, na)
-    as_ = np.linspace(ols[1] - half, ols[1] + half, na)
-    ls2 = np.linspace(math.log(s2c) - 6, math.log(s2c) + 6, ns)
-    s2 = np.exp(ls2)
-    AC, AS = np.meshgrid(ac, as_, indexing="ij")
-    quad_form = AC**2 * G[0, 0] + 2 * AC * AS * G[0, 1] + AS**2 * G[1, 1]
-    rss = yty - 2 * (AC * Dty[0] + AS * Dty[1]) + quad_form
-    logdet = math.log(np.linalg.det(G))
-    cube = np.empty((na, na, ns))
-    for i, s in enumerate(s2):
-        cube[:, :, i] = (
-            -0.5 * N * math.log(2 * math.pi * s)
-            - rss / (2 * s)
-            - math.log(2 * math.pi * d2 * s)
-            + 0.5 * logdet
-            - quad_form / (2 * d2 * s)
-            - math.log(s)  # Jeffreys prior on the noise variance
-        )
-    steps = math.log((ac[1] - ac[0]) * (as_[1] - as_[0]) * (ls2[1] - ls2[0]))
-    integral = float(logsumexp(cube + np.log(s2)[None, None, :]) + steps)
-    assert log_marginal_likelihood([w], y, d2) == pytest.approx(integral, abs=1e-3)
+    integral = quadrature_log_marginal(sig.y, 0.9, 8.0)
+    assert log_marginal_likelihood([0.9], sig.y, 8.0) == pytest.approx(integral, abs=1e-3)
 
 
 def test_marginal_likelihood_empty_model_constant():

@@ -10,7 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from transdim import cli
 from transdim.model import (
     ApproxModel,
     GaussianComponent,
@@ -20,7 +23,6 @@ from transdim.model import (
 )
 from transdim.muons import PECountSignal
 from transdim.storage import (
-    RunConfig,
     StorageError,
     read_model,
     read_pe_signal,
@@ -103,6 +105,13 @@ def test_header_not_json_rejected(tmp_path):
     path = tmp_path / "bad"
     path.write_text("not json\n")
     with pytest.raises(StorageError, match="line 1"):
+        read_samples(path)
+
+
+def test_header_not_an_object_rejected(tmp_path):
+    path = tmp_path / "list.samples"
+    path.write_text("[]\n1 0.5\n")
+    with pytest.raises(StorageError, match="line 1: header is not a JSON object"):
         read_samples(path)
 
 
@@ -195,6 +204,13 @@ def test_model_wrong_format_rejected(tmp_path):
         read_model(path)
 
 
+def test_model_not_an_object_rejected(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    with pytest.raises(StorageError, match="model file is not a JSON object"):
+        read_model(path)
+
+
 def test_model_bad_document_rejected(tmp_path):
     path = tmp_path / "broken.json"
     doc = {"format": "transdim-model", "version": 1, "bounds": [[0, 1]], "lam": -2.0,
@@ -259,60 +275,8 @@ def test_pe_signal_negative_count_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# run configuration and seed derivation
+# seed derivation
 # ---------------------------------------------------------------------------
-
-
-def test_run_config_round_trip_and_digest_stable():
-    cfg = RunConfig(
-        experiment="sin",
-        signal={"k": 1, "omega": [0.9], "energies": [4.0], "phases": [0.0],
-                "snr_db": 7.0, "n": 32, "seed": 5},
-        chain={"iterations": 2000, "burn_in": 500},
-        fit={"iterations": 20, "averaging_window": 10},
-        seed=11,
-    )
-    doc = cfg.to_dict()
-    again = RunConfig.from_dict(doc)
-    assert again == cfg
-    assert again.digest() == cfg.digest()
-    # canonical form is sorted and compact, so the digest is reproducible
-    assert cfg.canonical() == json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def test_run_config_rejects_unknown_keys():
-    with pytest.raises(StorageError, match="unknown chain keys"):
-        RunConfig(experiment="sin", chain={"temperature": 2.0})
-    with pytest.raises(StorageError, match="unknown signal keys"):
-        RunConfig(experiment="auger", signal={"omega": [0.5]})
-    with pytest.raises(StorageError, match="unknown fit keys"):
-        RunConfig(experiment="sin", fit={"learning_rate": 0.1})
-    with pytest.raises(StorageError, match="unknown experiment"):
-        RunConfig(experiment="laplace")
-    with pytest.raises(StorageError, match="unknown configuration keys"):
-        RunConfig.from_dict({"experiment": "sin", "extra": 1})
-    with pytest.raises(StorageError, match="needs an 'experiment'"):
-        RunConfig.from_dict({"chain": {}})
-
-
-def test_run_config_builds_chain_and_fit_configs():
-    cfg = RunConfig(
-        experiment="auger",
-        chain={"iterations": 5000, "pulse": {"rise_time": 10.0, "decay": 50.0},
-               "init_muons": [[100.0, 20.0]]},
-        fit={"iterations": 30, "averaging_window": 10},
-        seed=3,
-    )
-    chain = cfg.chain_config(seed=99)
-    assert chain.iterations == 5000
-    assert chain.rng_seed == 99
-    assert chain.pulse.rise_time == 10.0
-    assert chain.init_muons == ((100.0, 20.0),)
-    fit = cfg.fit_config(seed=42)
-    assert fit.rng_seed == 42
-    assert fit.iterations == 30
-    # without an explicit override the run seed reaches the chain
-    assert cfg.chain_config().rng_seed == 3
 
 
 def test_spawn_seeds_deterministic_and_distinct():
@@ -323,3 +287,117 @@ def test_spawn_seeds_deterministic_and_distinct():
     assert len(set(a)) == 8
     assert a != c
     assert all(isinstance(s, int) and s >= 0 for s in a)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: malformed input is a StorageError and exit code 2, never a crash
+# ---------------------------------------------------------------------------
+
+# JSON made from the formats' own keys, wrapped in headers that pass the
+# format and version checks, so that examples reach the field parsing too
+_KEYS = st.sampled_from(
+    ["format", "version", "d", "bounds", "provenance", "lam", "components", "mu", "sigma2", "pi"]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+_SAMPLES_HEADER = st.fixed_dictionaries(
+    {"format": st.just("transdim-samples"), "version": st.just(1)},
+    optional={"d": _JSON, "bounds": _JSON, "provenance": _JSON},
+)
+_MODEL_DOC = st.fixed_dictionaries(
+    {"format": st.just("transdim-model"), "version": st.just(1)},
+    optional={
+        "bounds": _JSON,
+        "lam": _JSON,
+        "components": st.lists(st.dictionaries(st.sampled_from(["mu", "sigma2", "pi"]), _JSON)) | _JSON,
+    },
+)
+_LINES = st.lists(st.text(max_size=12), max_size=4).map("\n".join)
+SAMPLES_TEXT = st.text() | st.builds(
+    lambda head, body: head + "\n" + body,
+    st.builds(json.dumps, _JSON | _SAMPLES_HEADER) | st.text(max_size=12),
+    _LINES | st.lists(st.lists(st.integers(-1, 3) | st.floats(), max_size=4), max_size=3).map(
+        lambda rows: "\n".join(" ".join(map(str, r)) for r in rows)
+    ),
+)
+MODEL_TEXT = st.text() | st.builds(json.dumps, _JSON | _MODEL_DOC)
+PE_TEXT = st.text() | st.builds(
+    lambda comment, rows: f"{comment}\nbin,count\n{rows}",
+    st.sampled_from(["# t0=0 t_delta=25", "#", ""]) | st.text(max_size=16).map(lambda t: "#" + t),
+    st.lists(st.tuples(st.integers(-1, 4), st.integers()), max_size=4).map(
+        lambda rows: "\n".join(f"{a},{b}" for a, b in rows)
+    ),
+)
+_FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    space = ParamSpace(np.array([[0.0, 1.0]]))
+    write_samples(SampleSet.ingest(space, [np.array([[0.3]]), np.array([[0.3], [0.7]])]), root / "ok.samples")
+    write_model(ApproxModel(space, [GaussianComponent(np.array([0.3]), np.array([0.01]), 0.9)], 0.2),
+                root / "ok.json")
+    return root
+
+
+def _rejects(reader, path) -> bool:
+    try:
+        reader(path)
+    except StorageError:
+        return True
+    return False
+
+
+@given(text=SAMPLES_TEXT)
+@_FUZZ
+def test_fuzz_read_samples_raises_only_storage_error(fuzz_dir, text):
+    path = fuzz_dir / "fuzz.samples"
+    path.write_text(text, encoding="utf-8")
+    _rejects(read_samples, path)
+
+
+@given(text=MODEL_TEXT)
+@_FUZZ
+def test_fuzz_read_model_raises_only_storage_error(fuzz_dir, text):
+    path = fuzz_dir / "fuzz.json"
+    path.write_text(text, encoding="utf-8")
+    _rejects(read_model, path)
+
+
+@given(text=PE_TEXT)
+@_FUZZ
+def test_fuzz_read_pe_signal_raises_only_storage_error(fuzz_dir, text):
+    path = fuzz_dir / "fuzz.csv"
+    path.write_text(text, encoding="utf-8")
+    _rejects(read_pe_signal, path)
+
+
+@given(text=SAMPLES_TEXT)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzz_cli_fit_and_report_on_bad_samples(fuzz_dir, text):
+    path = fuzz_dir / "cli.samples"
+    path.write_text(text, encoding="utf-8")
+    rejected = _rejects(read_samples, path)
+    fit = cli.main(["fit", "--samples", str(path), "--seed", "1", "--iterations", "2",
+                    "--window", "1", "--out", str(fuzz_dir / "cli_model.json")])
+    report = cli.main(["report", "--model", str(fuzz_dir / "ok.json"), "--samples", str(path),
+                       "--outdir", str(fuzz_dir / "cli_report")])
+    if rejected:
+        assert fit == 2 and report == 2
+    else:
+        assert fit in (0, 2) and report in (0, 2)
+
+
+@given(text=MODEL_TEXT)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzz_cli_report_on_bad_model(fuzz_dir, text):
+    path = fuzz_dir / "cli_model_in.json"
+    path.write_text(text, encoding="utf-8")
+    rejected = _rejects(read_model, path)
+    report = cli.main(["report", "--model", str(path), "--samples", str(fuzz_dir / "ok.samples"),
+                       "--outdir", str(fuzz_dir / "cli_report")])
+    assert report == 2 if rejected else report in (0, 2)
