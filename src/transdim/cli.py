@@ -136,9 +136,9 @@ def _cmd_fit(args) -> int:
     result = sem_fit(samples, FitConfig(**_given(args, FitConfig), rng_seed=args.seed))
     storage.write_model(result.model, args.out)
     if args.trace_out:
-        rows = zip(result.trace.criteria, result.trace.counts)
-        _write_csv(args.trace_out, ["iteration", "criterion", "components"],
-                   ([i, _fmt(c), len(n) - 1] for i, (c, n) in enumerate(rows)))
+        rows = zip(result.trace.criteria, result.trace.counts, result.trace.accept_rates)
+        _write_csv(args.trace_out, ["iteration", "criterion", "components", "accept_rate", "outliers"],
+                   ([i, _fmt(c), len(n) - 1, _fmt(a), int(n[-1])] for i, (c, n, a) in enumerate(rows)))
     if args.allocations_out:
         with open(args.allocations_out, "w", encoding="utf-8") as fh:
             for z in result.allocations:
@@ -184,6 +184,9 @@ def _load_allocations(path, samples):
 
 
 def _cmd_report(args) -> int:
+    for flag, value in (("--hist-bins", args.hist_bins), ("--grid-points", args.grid_points)):
+        if value < 1:
+            raise storage.StorageError(f"{flag} must be at least 1, got {value}")
     model = storage.read_model(args.model)
     samples = storage.read_samples(args.samples)
     if model.space.dim != samples.space.dim:

@@ -1,10 +1,14 @@
 """Fitting engine for the gated-Gaussian / point-process approximation.
 
 A stochastic EM loop: each iteration updates every sample's allocation with
-one Metropolis-Hastings transition (independent sequential proposal),
+Metropolis-Hastings transitions (independent sequential proposal),
 evaluates the completed negative log-likelihood, and re-estimates the model
 parameters with robust statistics.  Components that attract too few samples
 are pruned, and the returned model averages the final window of iterations.
+
+The E-step computes the log allocation weights once per model and k-group,
+and one sweep over the points both draws the proposal and scores the
+current allocation.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .model import (
     AllocationVector,
@@ -90,6 +94,8 @@ class FitTrace:
 
     ``counts[r]`` has length L_r + 1: per-component sample counts followed
     by the total number of points sent to the outlier process.
+    ``accept_rates[r]`` is the share of samples whose last inner transition
+    accepted its proposal.
     """
 
     criteria: list = field(default_factory=list)
@@ -198,76 +204,65 @@ def _log_weights(points: np.ndarray, model: ApproxModel) -> np.ndarray:
     return out
 
 
-def _closed_gate_term(used: np.ndarray, model: ApproxModel) -> np.ndarray:
-    if model.L == 0:
-        return np.zeros(used.shape[0])
-    with np.errstate(divide="ignore"):
-        log_1m = np.log1p(-model.pis())
-    return np.where(used, 0.0, log_1m).sum(axis=1)
-
-
 def _joint_logdens(logw: np.ndarray, Z: np.ndarray, model: ApproxModel, k: int) -> np.ndarray:
-    """Joint log density of (sample, allocation) rows; Z is 0-based (n, k)."""
-    n = Z.shape[0]
-    L = model.L
+    """Joint log density of (sample, allocation) rows; Z is 0-based (n, k).
+    Each gate that no point uses contributes log(1 - pi_l)."""
+    rows = np.arange(Z.shape[0])[:, None]
     const = -model.lam - float(gammaln(k + 1))
-    used = np.zeros((n, L), dtype=bool)
-    if k == 0:
-        return const + _closed_gate_term(used, model)
-    for l in range(L):
-        used[:, l] = np.any(Z == l, axis=1)
-    picked = np.take_along_axis(logw, Z[:, :, None], axis=2)[:, :, 0]
-    return const + picked.sum(axis=1) + _closed_gate_term(used, model)
+    used = np.zeros((Z.shape[0], model.L + 1), dtype=bool)
+    used[rows, Z] = True
+    with np.errstate(divide="ignore"):
+        closed = np.where(used[:, :model.L], 0.0, np.log1p(-model.pis())).sum(axis=1)
+    return const + logw[rows, np.arange(k), Z].sum(axis=1) + closed
 
 
-def _sequential_propose(logw, order, gumbel, L):
-    """Draw an allocation by visiting points along ``order`` without reusing
-    Gaussian labels; returns 0-based labels and the log proposal probability
-    (conditional on the visit order)."""
+def _logsumexp(w):
+    """Log-sum-exp over the last axis, shifted by the maximum; a slice whose
+    entries are all -inf gives -inf."""
+    top = w.max(axis=-1, keepdims=True)
+    top[top == -np.inf] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(w - top).sum(axis=-1)) + top[..., 0]
+
+
+def _sequential_sweep(logw, order, gumbel, L, Z0=None):
+    """Visit points along ``order`` and draw an allocation that reuses no
+    Gaussian label; given a current allocation Z0, score it along the same
+    order in the same sweep.
+
+    Returns the 0-based proposal and its log proposal probability (conditional
+    on the visit order), then that of Z0 when given.
+    """
     n, k, _ = logw.shape
     rows = np.arange(n)
-    avail = np.ones((n, L + 1), dtype=bool)
-    Z = np.empty((n, k), dtype=np.int64)
-    logrho = np.zeros(n)
+    layers = 1 if Z0 is None else 2  # layer 0 is the proposal, layer 1 is Z0
+    lay = np.arange(layers)[:, None]
+    seq = np.empty((layers, n, k), dtype=np.int64)  # labels in visit order
+    if Z0 is not None:
+        seq[1] = np.take_along_axis(Z0, order, axis=1)
+    avail = np.ones((layers, n, L + 1), dtype=bool)
+    logrho = np.zeros((layers, n))
     for t in range(k):
-        j = order[:, t]
-        w = np.where(avail, logw[rows, j, :], -np.inf)
-        norm = logsumexp(w, axis=1)
-        forced = np.isneginf(norm)
-        pick = np.argmax(w + gumbel[:, t, :], axis=1)
-        pick = np.where(forced, L, pick)
+        w = np.where(avail, logw[rows, order[:, t], :], -np.inf)
+        norm = _logsumexp(w)
+        forced = norm == -np.inf
+        seq[0, :, t] = np.where(forced[0], L, (w[0] + gumbel[:, t, :]).argmax(axis=1))
+        c = seq[:, :, t]
         with np.errstate(invalid="ignore"):
-            logrho += np.where(forced, 0.0, w[rows, pick] - norm)
-        Z[rows, j] = pick
-        g = pick < L
-        avail[rows[g], pick[g]] = False
-    return Z, logrho
-
-
-def _sequential_logprob(logw, order, Z, L):
-    """Log probability that the sequential proposal along ``order`` yields Z."""
-    n, k, _ = logw.shape
-    rows = np.arange(n)
-    avail = np.ones((n, L + 1), dtype=bool)
-    logrho = np.zeros(n)
-    for t in range(k):
-        j = order[:, t]
-        c = Z[rows, j]
-        w = np.where(avail, logw[rows, j, :], -np.inf)
-        norm = logsumexp(w, axis=1)
-        forced = np.isneginf(norm)
-        with np.errstate(invalid="ignore"):
-            raw = w[rows, c] - norm
+            raw = w[lay, rows, c] - norm
         logrho += np.where(forced, np.where(c == L, 0.0, -np.inf), raw)
-        g = c < L
-        avail[rows[g], c[g]] = False
-    return logrho
+        avail[lay, rows, c] = c == L
+    Z = np.empty((n, k), dtype=np.int64)
+    np.put_along_axis(Z, order, seq[0], axis=1)
+    return (Z, *logrho)
 
 
-def _imh_transition(points, Z0, model, rng):
-    """One batched MH transition; Z0 is 0-based (n, k).
+def _imh_steps(points, Z, model, rng, steps):
+    """``steps`` batched MH transitions under one model; Z is 0-based (n, k).
 
-    Returns (new labels, accepted mask, joint log density of the new state).
+    Returns (new labels, accepted mask of the last step, joint log density of
+    the new state).  The log weights and the current joint density are
+    computed once, and each step's joint density carries over to the next.
     The same sampled visit order enters both proposal probabilities, so the
     order factor cancels from the acceptance ratio.  A current state of zero
     joint density is escaped unconditionally.
@@ -275,23 +270,24 @@ def _imh_transition(points, Z0, model, rng):
     n, k, _ = points.shape
     L = model.L
     logw = _log_weights(points, model)
-    joint_cur = _joint_logdens(logw, Z0, model, k)
+    joint = _joint_logdens(logw, Z, model, k)
+    accept = np.ones(n, dtype=bool)
     if k == 0:
-        return Z0.copy(), np.ones(n, dtype=bool), joint_cur
-    order = np.argsort(rng.random((n, k)), axis=1)
-    gumbel = -np.log(-np.log(rng.random((n, k, L + 1))))
-    Zp, lrho_p = _sequential_propose(logw, order, gumbel, L)
-    lrho_c = _sequential_logprob(logw, order, Z0, L)
-    joint_prop = _joint_logdens(logw, Zp, model, k)
-    with np.errstate(invalid="ignore"):
-        log_ratio = (joint_prop - joint_cur) + (lrho_c - lrho_p)
-    log_ratio = np.where(np.isnan(log_ratio), -np.inf, log_ratio)
-    with np.errstate(divide="ignore"):
-        accept = np.log(rng.random(n)) < log_ratio
-    accept |= np.isneginf(joint_cur)
-    Z1 = np.where(accept[:, None], Zp, Z0)
-    joint1 = np.where(accept, joint_prop, joint_cur)
-    return Z1, accept, joint1
+        return Z.copy(), accept, joint
+    for _ in range(steps):
+        order = np.argsort(rng.random((n, k)), axis=1)
+        gumbel = -np.log(-np.log(rng.random((n, k, L + 1))))
+        Zp, lrho_p, lrho_c = _sequential_sweep(logw, order, gumbel, L, Z)
+        joint_prop = _joint_logdens(logw, Zp, model, k)
+        with np.errstate(invalid="ignore"):
+            log_ratio = (joint_prop - joint) + (lrho_c - lrho_p)
+        log_ratio = np.where(np.isnan(log_ratio), -np.inf, log_ratio)
+        with np.errstate(divide="ignore"):
+            accept = np.log(rng.random(n)) < log_ratio
+        accept |= np.isneginf(joint)
+        Z = np.where(accept[:, None], Zp, Z)
+        joint = np.where(accept, joint_prop, joint)
+    return Z, accept, joint
 
 
 def imh_batch_step(points, labels, model, rng):
@@ -310,7 +306,7 @@ def imh_batch_step(points, labels, model, rng):
     rng = np.random.default_rng(rng)
     points = np.asarray(points, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
-    Z1, accepted, joint = _imh_transition(points, labels - 1, model, rng)
+    Z1, accepted, joint = _imh_steps(points, labels - 1, model, rng, 1)
     return Z1 + 1, accepted, joint
 
 
@@ -363,7 +359,7 @@ def mstep_robust(
     allocations: list,
     L: int,
     previous: ApproxModel,
-    sigma2_floor: float = 1e-10,
+    sigma2_floor: float = FitConfig.sigma2_floor,
 ) -> ApproxModel:
     """Robust parameter update given allocations.
 
@@ -428,7 +424,7 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
         logw = _log_weights(P, model)
         order = np.argsort(rng.random((idx.size, k)), axis=1)
         gumbel = -np.log(-np.log(rng.random((idx.size, k, model.L + 1))))
-        Z[k], _ = _sequential_propose(logw, order, gumbel, model.L)
+        Z[k], _ = _sequential_sweep(logw, order, gumbel, model.L)
 
     trace = FitTrace()
     pruned_log: list = []
@@ -438,10 +434,7 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
         n_accept = 0
         for k in sorted(groups):
             idx, P = groups[k]
-            Zk = Z[k]
-            for _ in range(config.imh_inner_steps):
-                Zk, acc, joint = _imh_transition(P, Zk, model, rng)
-            Z[k] = Zk
+            Z[k], acc, joint = _imh_steps(P, Z[k], model, rng, config.imh_inner_steps)
             joint_total += float(joint.sum())
             n_accept += int(acc.sum())
         criterion = -joint_total

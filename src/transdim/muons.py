@@ -110,7 +110,7 @@ class PECountSignal:
         return (self.t0, self.t0 + self.t_delta * self.n_bins)
 
 
-def auger_param_space(signal: PECountSignal, a_max: float = 500.0) -> ParamSpace:
+def auger_param_space(signal: PECountSignal, a_max: float) -> ParamSpace:
     """Per-muon box: arrival over the observation window, amplitude in (0, a_max]."""
     lo, hi = signal.window
     return ParamSpace(np.array([[lo, hi], [0.0, float(a_max)]]))

@@ -185,7 +185,7 @@ def _log_k_prior(k: int, rate: float, k_max: int) -> float:
 
 
 def log_target_marginal(
-    k: int, omega, y, delta2: float, rate: float, k_max: int = 20
+    k: int, omega, y, delta2: float, rate: float, k_max: int = SinChainConfig.k_max
 ) -> float:
     """Log posterior density of (k, omega) up to a constant, amplitudes and
     noise variance integrated out.

@@ -140,8 +140,11 @@ def test_fit_trace_and_allocations_outputs(sin_run, tmp_path):
     assert rc == 0
     with open(trace) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["iteration", "criterion", "components"]
+    assert rows[0] == ["iteration", "criterion", "components", "accept_rate", "outliers"]
     assert len(rows) == 15
+    for row in rows[1:]:
+        assert 0.0 <= float(row[3]) <= 1.0
+        assert int(row[4]) >= 0
     n_alloc = sum(1 for _ in open(alloc))
     assert n_alloc == len(read_samples(sin_run / "draws.samples"))
 
@@ -214,6 +217,17 @@ def test_report_bad_interval_is_data_error(sin_run, tmp_path):
          "--outdir", str(tmp_path / "r"), "--interval", "whoops"]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("flags", [["--hist-bins", "0"], ["--grid-points", "-1"], ["--grid-points", "0"]])
+def test_report_counts_below_one_are_data_errors(sin_run, tmp_path, capsys, flags):
+    rc = cli.main(
+        ["report", "--model", str(sin_run / "model.json"),
+         "--samples", str(sin_run / "draws.samples"),
+         "--outdir", str(tmp_path / "r")] + flags
+    )
+    assert rc == 2
+    assert f"error: {flags[0]} must be at least 1" in capsys.readouterr().err
 
 
 def test_report_dimension_mismatch_is_data_error(sin_run, tmp_path):

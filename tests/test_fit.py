@@ -8,12 +8,18 @@ from a known model.
 
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from transdim.fit import (
     FitConfig,
+    _imh_steps,
+    _log_weights,
+    _logsumexp,
+    _sequential_sweep,
     choose_component_count,
     imh_batch_step,
     initialize_model,
@@ -223,6 +229,119 @@ def test_batch_joint_matches_reference_density(ambiguous_model):
             VariableDimSample(P[i]), AllocationVector(Z1[i]), ambiguous_model
         )
         assert joint[i] == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+
+# The two-loop E-step the fused sweep replaced, kept as its reference: one
+# loop draws the proposal, a second loop scores the current allocation, and
+# both normalise with scipy's logsumexp.
+
+
+def _reference_propose(logw, order, gumbel, L):
+    n, k, _ = logw.shape
+    rows = np.arange(n)
+    avail = np.ones((n, L + 1), dtype=bool)
+    Z = np.empty((n, k), dtype=np.int64)
+    logrho = np.zeros(n)
+    for t in range(k):
+        j = order[:, t]
+        w = np.where(avail, logw[rows, j, :], -np.inf)
+        norm = logsumexp(w, axis=1)
+        forced = np.isneginf(norm)
+        pick = np.argmax(w + gumbel[:, t, :], axis=1)
+        pick = np.where(forced, L, pick)
+        with np.errstate(invalid="ignore"):
+            logrho += np.where(forced, 0.0, w[rows, pick] - norm)
+        Z[rows, j] = pick
+        g = pick < L
+        avail[rows[g], pick[g]] = False
+    return Z, logrho
+
+
+def _reference_logprob(logw, order, Z, L):
+    n, k, _ = logw.shape
+    rows = np.arange(n)
+    avail = np.ones((n, L + 1), dtype=bool)
+    logrho = np.zeros(n)
+    for t in range(k):
+        j = order[:, t]
+        c = Z[rows, j]
+        w = np.where(avail, logw[rows, j, :], -np.inf)
+        norm = logsumexp(w, axis=1)
+        forced = np.isneginf(norm)
+        with np.errstate(invalid="ignore"):
+            raw = w[rows, c] - norm
+        logrho += np.where(forced, np.where(c == L, 0.0, -np.inf), raw)
+        g = c < L
+        avail[rows[g], c[g]] = False
+    return logrho
+
+
+def _visit(rng, n, k, L):
+    order = np.argsort(rng.random((n, k)), axis=1)
+    return order, -np.log(-np.log(rng.random((n, k, L + 1))))
+
+
+@pytest.mark.parametrize("lam, k", [(0.5, 1), (0.5, 2), (0.5, 4), (0.0, 2), (0.0, 3)])
+def test_fused_sweep_matches_two_loop_reference(lam, k):
+    """Same labels and, to float64 rounding, the same log proposal
+    probabilities as the two-loop reference.  With lam = 0 the outlier label
+    has zero weight, so points beyond the L Gaussian labels are forced to it,
+    and a current allocation that uses it elsewhere has zero density."""
+    model = make_model([(0.0, 1.0)], [[0.3], [0.7]], [[0.0225], [0.0225]], [0.7, 0.4], lam)
+    clutter = make_model([(0.0, 1.0)], [[0.3], [0.7]], [[0.0225], [0.0225]], [0.7, 0.4], 3.0)
+    L, n = 2, 500
+    rng = np.random.default_rng(100 + k)
+    P = rng.random((n, k, 1))
+    Z0, _ = _reference_propose(_log_weights(P, clutter), *_visit(rng, n, k, L), L)
+    logw = _log_weights(P, model)
+    order, gumbel = _visit(rng, n, k, L)
+
+    Zp, lrho_p, lrho_c = _sequential_sweep(logw, order, gumbel, L, Z0)
+    Zr, lrho_r = _reference_propose(logw, order, gumbel, L)
+    assert np.array_equal(Zp, Zr)
+    np.testing.assert_allclose(lrho_p, lrho_r, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        lrho_c, _reference_logprob(logw, order, Z0, L), rtol=1e-12, atol=1e-12
+    )
+    Zi, lrho_i = _sequential_sweep(logw, order, gumbel, L)
+    assert np.array_equal(Zi, Zp) and np.array_equal(lrho_i, lrho_p)
+    if lam == 0.0:
+        assert np.all((Zp == L).sum(axis=1) == max(k - L, 0))
+        assert np.isneginf(lrho_c).any() and np.isfinite(lrho_c).any()
+
+
+def test_logsumexp_matches_scipy_on_rows_with_neginf():
+    rng = np.random.default_rng(8)
+    w = rng.normal(scale=1000.0, size=(300, 5))  # exp over- and underflows unshifted
+    w[rng.random(w.shape) < 0.4] = -np.inf
+    w[:7] = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logsumexp(w)
+    assert np.all(np.isneginf(got[:7]))
+    np.testing.assert_allclose(got, logsumexp(w, axis=1), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.0])
+def test_inner_steps_match_repeated_batch_steps(ambiguous_model, lam):
+    """n hoisted inner steps equal n calls of imh_batch_step, which
+    recomputes the weights and the current density, bit for bit; both draw
+    the same random numbers.  Starting everything at the outlier label gives
+    a zero-density state when lam = 0."""
+    model = ApproxModel(ambiguous_model.space, ambiguous_model.components, lam)
+    rng = np.random.default_rng(23)
+    P = rng.random((300, 3, 1))
+    Z0 = np.full((300, 3), 3, dtype=np.int64)
+    for steps in (1, 2, 5):
+        a, b = np.random.default_rng(61), np.random.default_rng(61)
+        Z, acc, joint = _imh_steps(P, Z0 - 1, model, a, steps)
+        Zb = Z0
+        for _ in range(steps):
+            Zb, acc_b, joint_b = imh_batch_step(P, Zb, model, b)
+        assert np.array_equal(Z + 1, Zb)
+        assert np.array_equal(acc, acc_b)
+        assert np.array_equal(joint, joint_b)
+        assert a.random() == b.random()
 
 
 # ---------------------------------------------------------------------------
