@@ -300,20 +300,6 @@ def _truncated_normal_draws(
     return np.clip(x, lo, hi)
 
 
-def _log_prob_ratio(num: float, den: float) -> float:
-    """log(num/den) for move probabilities; a zero acts as a hard barrier.
-
-    Shared by the birth/death moves of both samplers.
-    """
-    if num == den:
-        return 0.0
-    if num == 0.0:
-        return -math.inf
-    if den == 0.0:
-        return math.inf
-    return math.log(num) - math.log(den)
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------

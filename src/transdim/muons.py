@@ -5,19 +5,20 @@ detector histograms photoelectrons into fixed-width time bins, and the
 counts are Poisson with means obtained by integrating the summed per-muon
 intensities over each bin.  The chain explores (k, {(t, a)}) with uniform
 arrival times over the observation window, a Gamma prior on amplitudes
-(truncated to the amplitude box), and a truncated Poisson prior on k.
+(truncated to the amplitude box), and a truncated Poisson prior on k.  The
+chain runs on the shared engine of :mod:`transdim.rjmcmc`.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .model import ModelError, ParamSpace, SampleSet, _log_prob_ratio
+from . import rjmcmc
+from .model import ModelError, ParamSpace, SampleSet
 
 __all__ = [
     "PulseShape",
@@ -32,8 +33,6 @@ __all__ = [
     "simulate_pe_signal",
     "rjmcmc_run_auger",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -248,37 +247,83 @@ class AugerChainConfig:
     rng_seed: int | None = None
 
     def __post_init__(self):
-        if self.iterations < 1 or not 0 <= self.burn_in < self.iterations:
-            raise ModelError("need 0 <= burn_in < iterations")
-        if self.thinning < 1:
-            raise ModelError("thinning must be at least 1")
-        if self.k_max < 1:
-            raise ModelError("k_max must be at least 1")
-        probs = (self.birth_prob, self.death_prob, self.update_prob)
-        if min(probs) < 0.0 or abs(sum(probs) - 1.0) > 1e-12:
-            raise ModelError("move probabilities must be nonnegative and sum to 1")
-        if not (self.rate > 0.0 and math.isfinite(self.rate)):
-            raise ModelError("rate must be positive")
-        if self.t_step <= 0.0 or self.log_a_step <= 0.0:
-            raise ModelError("random-walk steps must be positive")
-        if self.amp_alpha <= 0.0 or self.amp_beta <= 0.0:
-            raise ModelError("amplitude prior parameters must be positive")
-        if self.a_max <= 0.0:
-            raise ModelError("a_max must be positive")
+        rjmcmc.check_chain_config(
+            self, "rate", "t_step", "log_a_step", "amp_alpha", "amp_beta", "a_max"
+        )
         if len(self.init_muons) > self.k_max:
             raise ModelError("more initial muons than k_max allows")
 
 
-def _default_init(signal: PECountSignal) -> np.ndarray:
-    """A starting state with positive likelihood.
+class _AugerChain(rjmcmc.Chain):
+    """State (muons sorted by arrival, log likelihood)."""
 
-    A single muon at the window start keeps every bin mean strictly
-    positive; an all-zero trace starts from the empty configuration.
-    """
-    total = int(signal.counts.sum())
-    if total == 0:
-        return np.zeros((0, 2))
-    return np.array([[signal.window[0], float(max(total, 1))]])
+    sampler = "auger-rjmcmc"
+
+    def __init__(self, signal: PECountSignal, config: AugerChainConfig):
+        super().__init__(config, auger_param_space(signal, config.a_max))
+        self.signal = signal
+        self.lo, self.hi = signal.window
+        if config.init_muons:
+            muons = _muon_array(config.init_muons)
+            if not np.all(self.space.contains(muons)):
+                raise ModelError("initial muons fall outside the parameter box")
+            muons = muons[np.argsort(muons[:, 0])]
+        else:
+            # one muon at the window start keeps every bin mean strictly
+            # positive; an all-zero trace starts from the empty configuration
+            total = int(signal.counts.sum())
+            muons = np.array([[self.lo, float(total)]]) if total else np.zeros((0, 2))
+        self.state = (muons, self._loglik(muons))
+        self.log_rate = math.log(config.rate)
+
+    def _loglik(self, muons: np.ndarray) -> float:
+        return log_likelihood_pe(
+            self.signal.counts, expected_bin_counts(muons, self.signal, self.config.pulse)
+        )
+
+    def birth(self, log_q):
+        # new muon from the priors; prior and proposal densities cancel.  The
+        # amplitude prior is Gamma truncated to (0, a_max]; resampling
+        # implements the truncation exactly and essentially never loops
+        cfg, rng, (muons, ll) = self.config, self.rng, self.state
+        t = self.lo + (self.hi - self.lo) * rng.random()
+        a = rng.gamma(cfg.amp_alpha, 1.0 / cfg.amp_beta)
+        while not 0.0 < a <= cfg.a_max:
+            a = rng.gamma(cfg.amp_alpha, 1.0 / cfg.amp_beta)
+        prop = np.concatenate([muons, [[t, float(a)]]])
+        ll_p = self._loglik(prop)
+        log_r = ll_p - ll + self.log_rate - math.log(len(muons) + 1) + log_q
+        return log_r, (prop[np.argsort(prop[:, 0])], ll_p)
+
+    def death(self, index, log_q):
+        muons, ll = self.state
+        prop = np.delete(muons, index, axis=0)
+        ll_p = self._loglik(prop)
+        return ll_p - ll - self.log_rate + math.log(len(muons)) + log_q, (prop, ll_p)
+
+    def update(self, j):
+        # reflected walk on the arrival, log-scale walk on the amplitude
+        cfg, rng, (muons, ll) = self.config, self.rng, self.state
+        t_new = rjmcmc.reflect(muons[j, 0] + cfg.t_step * rng.standard_normal(), self.lo, self.hi)
+        a_old = muons[j, 1]
+        a_new = a_old * math.exp(cfg.log_a_step * rng.standard_normal())
+        if a_new > cfg.a_max:
+            return None
+        prop = muons.copy()
+        prop[j] = (t_new, a_new)
+        ll_p = self._loglik(prop)
+        # Gamma prior ratio plus the log-walk Jacobian a_new/a_old
+        log_r = (ll_p - ll + cfg.amp_alpha * math.log(a_new / a_old)
+                 - cfg.amp_beta * (a_new - a_old))
+        return log_r, (prop, ll_p)
+
+    def record(self):
+        return self.state[0].copy()
+
+    def extras(self):
+        shape = self.config.pulse
+        return {"rate": self.config.rate, "window": [self.lo, self.hi], "bins": self.signal.n_bins,
+                "pulse": {"rise_time": shape.rise_time, "decay": shape.decay}}
 
 
 def rjmcmc_run_auger(signal: PECountSignal, config: AugerChainConfig) -> SampleSet:
@@ -288,112 +333,4 @@ def rjmcmc_run_auger(signal: PECountSignal, config: AugerChainConfig) -> SampleS
     amplitude), sorted by arrival, with acceptance diagnostics in the
     provenance record.
     """
-    rng = np.random.default_rng(config.rng_seed)
-    space = auger_param_space(signal, config.a_max)
-    lo, hi = signal.window
-    shape = config.pulse
-
-    if config.init_muons:
-        state = _muon_array(config.init_muons)
-        if not np.all(space.contains(state)):
-            raise ModelError("initial muons fall outside the parameter box")
-        state = state[np.argsort(state[:, 0])]
-    else:
-        state = _default_init(signal)
-
-    def loglik(muons: np.ndarray) -> float:
-        return log_likelihood_pe(signal.counts, expected_bin_counts(muons, signal, shape))
-
-    ll_cur = loglik(state)
-    if not np.isfinite(ll_cur):
-        raise ModelError("initial state has zero likelihood")
-
-    def draw_amplitude() -> float:
-        # the amplitude prior is Gamma truncated to (0, a_max]; resampling
-        # implements the truncation exactly and essentially never loops
-        while True:
-            a = rng.gamma(config.amp_alpha, 1.0 / config.amp_beta)
-            if 0.0 < a <= config.a_max:
-                return float(a)
-
-    log_rate = math.log(config.rate)
-    log_db = _log_prob_ratio(config.death_prob, config.birth_prob)
-    attempts = {"birth": 0, "death": 0, "update": 0}
-    accepts = {"birth": 0, "death": 0, "update": 0}
-    records: list[np.ndarray] = []
-
-    for it in range(config.iterations):
-        k = state.shape[0]
-        u = rng.random()
-        if u < config.birth_prob:
-            # new muon from the priors; prior and proposal densities cancel
-            attempts["birth"] += 1
-            if k < config.k_max:
-                new = np.array([[lo + (hi - lo) * rng.random(), draw_amplitude()]])
-                prop = np.concatenate([state, new])
-                ll_p = loglik(prop)
-                log_r = ll_p - ll_cur + log_rate - math.log(k + 1) + log_db
-                if math.log(rng.random()) < log_r:
-                    state = prop[np.argsort(prop[:, 0])]
-                    ll_cur = ll_p
-                    accepts["birth"] += 1
-        elif u < config.birth_prob + config.death_prob:
-            attempts["death"] += 1
-            if k > 0:
-                idx = int(rng.integers(k))
-                prop = np.delete(state, idx, axis=0)
-                ll_p = loglik(prop)
-                log_r = ll_p - ll_cur - log_rate + math.log(k) - log_db
-                if math.log(rng.random()) < log_r:
-                    state, ll_cur = prop, ll_p
-                    accepts["death"] += 1
-        else:
-            for j in range(k):
-                attempts["update"] += 1
-                t_new = state[j, 0] + config.t_step * rng.standard_normal()
-                while t_new < lo or t_new > hi:
-                    if t_new < lo:
-                        t_new = 2.0 * lo - t_new
-                    if t_new > hi:
-                        t_new = 2.0 * hi - t_new
-                a_old = state[j, 1]
-                a_new = a_old * math.exp(config.log_a_step * rng.standard_normal())
-                if a_new > config.a_max:
-                    continue
-                prop = state.copy()
-                prop[j] = (t_new, a_new)
-                ll_p = loglik(prop)
-                # Gamma prior ratio plus the log-walk Jacobian a_new/a_old
-                log_r = (
-                    ll_p - ll_cur
-                    + config.amp_alpha * math.log(a_new / a_old)
-                    - config.amp_beta * (a_new - a_old)
-                )
-                if math.log(rng.random()) < log_r:
-                    state, ll_cur = prop, ll_p
-                    accepts["update"] += 1
-            if k:
-                state = state[np.argsort(state[:, 0])]
-
-        if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0:
-            records.append(state.copy())
-
-    rates = {
-        m: (accepts[m] / attempts[m] if attempts[m] else math.nan) for m in attempts
-    }
-    provenance = {
-        "sampler": "auger-rjmcmc",
-        "seed": config.rng_seed,
-        "iterations": config.iterations,
-        "burn_in": config.burn_in,
-        "thinning": config.thinning,
-        "extras": {
-            "acceptance_rates": rates,
-            "rate": config.rate,
-            "k_max": config.k_max,
-            "pulse": {"rise_time": shape.rise_time, "decay": shape.decay},
-            "window": [lo, hi],
-            "bins": signal.n_bins,
-        },
-    }
-    return SampleSet.ingest(space, records, provenance)
+    return rjmcmc.run(_AugerChain(signal, config))

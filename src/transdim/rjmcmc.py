@@ -1,0 +1,131 @@
+"""Reversible-jump MCMC engine (Green 1995) shared by the sinusoid and muon
+samplers: one loop for move choice, accept draws, counters, burn-in,
+thinning and provenance; each sampler subclasses :class:`Chain`.
+"""
+
+import math
+import numbers
+
+import numpy as np
+
+from .model import ModelError, ParamSpace, SampleSet
+
+__all__ = ["Chain", "run", "reflect", "check_chain_config"]
+
+
+def _log_prob_ratio(num: float, den: float) -> float:
+    """log(num/den) for move probabilities; a zero acts as a hard barrier."""
+    if num == den:
+        return 0.0
+    if num == 0.0:
+        return -math.inf
+    if den == 0.0:
+        return math.inf
+    return math.log(num) - math.log(den)
+
+
+def reflect(x: float, lo: float, hi: float) -> float:
+    """Fold a random-walk step back into [lo, hi] by mirroring at the edges;
+    the folded walk stays symmetric."""
+    while x < lo or x > hi:
+        if x < lo:
+            x = 2.0 * lo - x
+        if x > hi:
+            x = 2.0 * hi - x
+    return x
+
+
+def check_chain_config(config, *positive: str) -> None:
+    """Raise ModelError for a bad shared chain setting, or for any field
+    named in ``positive`` that is not finite and > 0."""
+    for name in ("iterations", "burn_in", "thinning", "k_max"):
+        if not isinstance(getattr(config, name), numbers.Integral):
+            raise ModelError(f"{name} must be an integer, got {getattr(config, name)!r}")
+    if not 0 <= config.burn_in < config.iterations:
+        raise ModelError("burn_in must satisfy 0 <= burn_in < iterations")
+    if config.thinning < 1 or config.k_max < 1:
+        raise ModelError("thinning and k_max must be at least 1")
+    probs = (config.birth_prob, config.death_prob, config.update_prob)
+    if not (all(p >= 0.0 for p in probs) and math.isclose(sum(probs), 1.0)):
+        raise ModelError("move probabilities must be nonnegative and sum to 1")
+    for name in positive:
+        value = getattr(config, name)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
+            raise ModelError(f"{name} must be finite and positive, got {value!r}")
+
+
+class Chain:
+    """A sampler's side of :func:`run`.
+
+    Each iteration picks birth, death or an update sweep with the configured
+    probabilities; a birth at k_max or a death at k = 0 counts an attempt
+    and draws nothing more, and a sweep ends with the components sorted by
+    their first coordinate.  ``state`` is a tuple (components, log target
+    term, cached terms...).  ``birth(log_q)``, ``death(index, log_q)`` and
+    ``update(j)`` draw their own random numbers and return ``(log_r,
+    proposed_state)``, log_r being the full log acceptance ratio and log_q
+    the log ratio of the reverse to the forward move probability; ``update``
+    returns None for a step outside the prior, rejected without an accept
+    draw.  ``refresh`` runs after every move and counts the sampler's
+    ``extra_moves``; ``record`` returns the (k, d) array to store and
+    ``extras`` the sampler's entries of ``provenance["extras"]``.
+    """
+
+    sampler: str  # the provenance "sampler" entry
+    extra_moves: tuple = ()
+
+    def __init__(self, config, space: ParamSpace):
+        self.config, self.space = config, space
+        self.rng = np.random.default_rng(config.rng_seed)
+
+    def refresh(self, attempts: dict, accepts: dict) -> None:
+        pass
+
+
+def run(chain: Chain) -> SampleSet:
+    """Run ``chain.config.iterations`` iterations and ingest the thinned states."""
+    config, rng = chain.config, chain.rng
+    if not np.isfinite(chain.state[1]):
+        raise ModelError("initial state has zero posterior density")
+    log_db = _log_prob_ratio(config.death_prob, config.birth_prob)
+    birth_or_death = config.birth_prob + config.death_prob
+    attempts = dict.fromkeys(("birth", "death", "update") + chain.extra_moves, 0)
+    accepts = dict.fromkeys(attempts, 0)
+    records: list[np.ndarray] = []
+
+    def metropolis(move: str, proposal) -> None:
+        log_r, prop = proposal
+        if math.log(rng.random()) < log_r:
+            chain.state = prop
+            accepts[move] += 1
+
+    for it in range(config.iterations):
+        k = len(chain.state[0])
+        u = rng.random()
+        if u < config.birth_prob:
+            attempts["birth"] += 1
+            if k < config.k_max:
+                metropolis("birth", chain.birth(log_db))
+        elif u < birth_or_death:
+            attempts["death"] += 1
+            if k > 0:
+                metropolis("death", chain.death(int(rng.integers(k)), -log_db))
+        else:
+            for j in range(k):
+                attempts["update"] += 1
+                proposal = chain.update(j)
+                if proposal is not None:
+                    metropolis("update", proposal)
+            if k:
+                comps, *rest = chain.state
+                chain.state = (comps[np.argsort(comps.reshape(k, -1)[:, 0])], *rest)
+        chain.refresh(attempts, accepts)
+        if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0:
+            records.append(chain.record())
+
+    rates = {m: (accepts[m] / attempts[m] if attempts[m] else math.nan) for m in attempts}
+    provenance = {"sampler": chain.sampler, "seed": config.rng_seed,
+                  "iterations": config.iterations, "burn_in": config.burn_in,
+                  "thinning": config.thinning,
+                  "extras": {"acceptance_rates": rates, "k_max": config.k_max, **chain.extras()}}
+    return SampleSet.ingest(chain.space, records, provenance)

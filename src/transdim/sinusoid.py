@@ -5,19 +5,23 @@ g-prior N(0, delta2 * sigma2 * (D'D)^-1), Jeffreys prior on sigma2, uniform
 frequencies on (0, pi), and a Poisson prior on the number of sinusoids
 truncated at k_max.  Amplitudes and noise variance are integrated out, so
 the chain moves on (k, omega, delta2, rate).
+
+The chain runs on the shared engine of :mod:`transdim.rjmcmc`; this module
+supplies its frequency proposals and the refresh of delta2 and the rate.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 from scipy.special import gammaln
 
-from .model import ModelError, ParamSpace, SampleSet, _log_prob_ratio
+from . import rjmcmc
+from .model import ModelError, ParamSpace, SampleSet
 
 __all__ = [
     "SinusoidSignal",
@@ -88,18 +92,14 @@ class SinChainConfig:
     init_omega: tuple = ()
 
     def __post_init__(self):
-        if not math.isclose(self.birth_prob + self.death_prob + self.update_prob, 1.0):
-            raise ModelError("move probabilities must sum to 1")
-        if min(self.birth_prob, self.death_prob, self.update_prob) < 0:
-            raise ModelError("move probabilities must be nonnegative")
-        if not (0 <= self.burn_in < self.iterations):
-            raise ModelError("burn_in must satisfy 0 <= burn_in < iterations")
-        if self.thinning < 1 or self.k_max < 1:
-            raise ModelError("thinning and k_max must be positive")
-        if self.delta2_init <= 0 or self.rate_init <= 0:
-            raise ModelError("delta2_init and rate_init must be positive")
+        rjmcmc.check_chain_config(
+            self, "rw_step", "delta2_init", "alpha_delta", "beta_delta",
+            "rate_init", "alpha_rate", "beta_rate",
+        )
         if len(self.init_omega) > self.k_max:
             raise ModelError("init_omega longer than k_max")
+        if not all(0.0 < w < math.pi for w in self.init_omega):
+            raise ModelError("init_omega must lie strictly inside (0, pi)")
 
 
 # ---------------------------------------------------------------------------
@@ -138,25 +138,26 @@ def _design_factor(omega: np.ndarray, y: np.ndarray):
 
 
 def _data_part(omega: np.ndarray, y: np.ndarray, delta2: float):
-    """(-k log(1+delta2) - N/2 log(y'P y), quad) for sorted omega.
+    """(-k log(1+delta2) - N/2 log(y'P y), design factor) for sorted omega.
 
-    quad is the projection quadratic form, reusable across delta2 changes.
+    The factor is ``_design_factor(omega, y)``, or None for k = 0 or a
+    singular design; it does not depend on delta2, so the chain keeps it
+    with the state for the delta2 refresh.
     """
     N = y.size
     yty = float(y @ y)
     k = omega.size
     if k == 0:
-        return -0.5 * N * math.log(yty), 0.0
+        return -0.5 * N * math.log(yty), None
     fac = _design_factor(omega, y)
     if fac is None:
         logger.debug("singular design for omega=%s", omega)
-        return -np.inf, math.nan
-    _, _, _, quad = fac
+        return -np.inf, None
     shrink = delta2 / (1.0 + delta2)
-    ypy = yty - shrink * quad
+    ypy = yty - shrink * fac[3]
     if ypy <= 0.0:
-        return -np.inf, quad
-    return -k * math.log1p(delta2) - 0.5 * N * math.log(ypy), quad
+        return -np.inf, fac
+    return -k * math.log1p(delta2) - 0.5 * N * math.log(ypy), fac
 
 
 def _log_trunc_series(rate: float, k_max: int) -> float:
@@ -166,11 +167,6 @@ def _log_trunc_series(rate: float, k_max: int) -> float:
     terms = j * math.log(rate) - gammaln(j + 1)
     m = terms.max()
     return float(m + math.log(np.exp(terms - m).sum()))
-
-
-def _log_trunc_poisson_mass(rate: float, k_max: int) -> float:
-    """log P(Poisson(rate) <= k_max)."""
-    return -rate + _log_trunc_series(rate, k_max)
 
 
 def _log_k_prior(k: int, rate: float, k_max: int) -> float:
@@ -272,6 +268,9 @@ def generate_synthetic_signal(
 # ---------------------------------------------------------------------------
 
 
+_LOG_PI = math.log(math.pi)
+
+
 def birth_state(omega: np.ndarray, new: float) -> np.ndarray:
     """Insert a frequency, keeping the state sorted."""
     pos = int(np.searchsorted(omega, new))
@@ -283,9 +282,101 @@ def death_state(omega: np.ndarray, index: int) -> np.ndarray:
     return np.delete(omega, index)
 
 
-def _sample_inverse_gamma(rng, shape: float, scale: float) -> float:
-    """One draw from InvGamma(shape, scale) (density ~ x^-shape-1 e^-scale/x)."""
-    return scale / rng.gamma(shape)
+class _SinChain(rjmcmc.Chain):
+    """State (omega, data part, design factor); delta2 and the rate beside it."""
+
+    sampler = "sinusoid-rjmcmc"
+    extra_moves = ("rate",)
+
+    def __init__(self, signal: SinusoidSignal, config: SinChainConfig):
+        self.y, self.yty = signal.y, float(signal.y @ signal.y)
+        if self.yty <= 0.0:
+            raise ModelError("signal is identically zero")
+        super().__init__(config, sin_param_space())
+        omega = np.sort(np.asarray(config.init_omega, dtype=float))
+        self.delta2, self.rate = config.delta2_init, config.rate_init
+        self.state = (omega, *_data_part(omega, self.y, self.delta2))
+        self.singular = 0
+        self.delta2_sum = self.rate_sum = 0.0
+
+    def _score(self, omega: np.ndarray):
+        """``_data_part`` at the current delta2, counting zero-density proposals."""
+        data, fac = _data_part(omega, self.y, self.delta2)
+        if not np.isfinite(data):
+            self.singular += 1
+        return data, fac
+
+    def birth(self, log_q):
+        # uniform new frequency; prior and proposal densities cancel
+        return self._jump(birth_state(self.state[0], self.rng.random() * math.pi), log_q, _LOG_PI)
+
+    def death(self, index, log_q):
+        return self._jump(death_state(self.state[0], index), log_q, -_LOG_PI)
+
+    def _jump(self, prop, log_q, log_pi):
+        """Birth or death to ``prop``; log_pi is the frequency prior's +-log(pi)."""
+        (omega, data, _), rate, k_max = self.state, self.rate, self.config.k_max
+        data_p, fac_p = self._score(prop)
+        log_r = (data_p - data + _log_k_prior(prop.size, rate, k_max)
+                 - _log_k_prior(omega.size, rate, k_max) + log_q + log_pi)
+        return log_r, (prop, data_p, fac_p)
+
+    def update(self, j):
+        # symmetric reflected random walk; positions stay fixed within the
+        # sweep and the engine resorts the state after its last step
+        omega, data, _ = self.state
+        prop = omega.copy()
+        step = self.config.rw_step * self.rng.standard_normal()
+        prop[j] = rjmcmc.reflect(omega[j] + step, 0.0, math.pi)
+        data_p, fac_p = self._score(np.sort(prop))
+        return data_p - data, (prop, data_p, fac_p)
+
+    def refresh(self, attempts, accepts):
+        cfg, rng, yty, N = self.config, self.rng, self.yty, self.y.size
+        omega, data, fac = self.state
+        k = omega.size
+        if cfg.sample_delta2:
+            # refresh delta2 through its exact conditional given auxiliary
+            # draws of (sigma2, amplitudes), then discard the auxiliaries;
+            # InvGamma(shape, scale) is drawn as scale / Gamma(shape)
+            quad = fac[3] if k else 0.0
+            shrink = self.delta2 / (1.0 + self.delta2)
+            sigma2 = 0.5 * (yty - shrink * quad) / rng.gamma(0.5 * N)
+            energy = 0.0
+            if k:
+                D, cho, Dty, _ = fac
+                mean = shrink * linalg.cho_solve(cho, Dty, check_finite=False)
+                z = rng.standard_normal(2 * k)
+                dev = linalg.solve_triangular(cho[0], z, lower=False, check_finite=False)
+                Da = D @ (mean + math.sqrt(sigma2 * shrink) * dev)
+                energy = float(Da @ Da)
+            self.delta2 = (cfg.beta_delta + 0.5 * energy / sigma2) / rng.gamma(cfg.alpha_delta + k)
+            if k:
+                shrink = self.delta2 / (1.0 + self.delta2)
+                data = -k * math.log1p(self.delta2) - 0.5 * N * math.log(yty - shrink * quad)
+                self.state = (omega, data, fac)
+        if cfg.sample_rate:
+            # conjugate-form proposal; the truncation of p(k | rate) at k_max
+            # leaves a ratio of masses log P(Poisson(.) <= k_max) to correct for
+            attempts["rate"] += 1
+            prop_rate = rng.gamma(cfg.alpha_rate + k, 1.0 / (cfg.beta_rate + 1.0))
+            if prop_rate > 0:
+                log_r = (-self.rate + _log_trunc_series(self.rate, cfg.k_max)) - (
+                    -prop_rate + _log_trunc_series(prop_rate, cfg.k_max))
+                if math.log(rng.random()) < log_r:
+                    self.rate = prop_rate
+                    accepts["rate"] += 1
+
+    def record(self):
+        self.delta2_sum += self.delta2
+        self.rate_sum += self.rate
+        return self.state[0].reshape(-1, 1).copy()
+
+    def extras(self):
+        cfg = self.config
+        n = len(range(cfg.burn_in, cfg.iterations, cfg.thinning))  # records taken
+        return {"mean_delta2": self.delta2_sum / n, "mean_rate": self.rate_sum / n,
+                "singular_proposals": self.singular, "N": self.y.size}
 
 
 def rjmcmc_run(signal: SinusoidSignal, config: SinChainConfig) -> SampleSet:
@@ -295,158 +386,7 @@ def rjmcmc_run(signal: SinusoidSignal, config: SinChainConfig) -> SampleSet:
     death of a uniform pick, or a reflected random-walk sweep over the
     current frequencies), then refreshes delta2 through its auxiliary
     conditional and the Poisson rate through a conjugate-form proposal with
-    the truncation correction.  Acceptance rates and hyperparameter means are
-    reported in the SampleSet provenance.
+    the truncation correction.  Acceptance rates (``rate`` among them) and
+    hyperparameter means are reported in the SampleSet provenance.
     """
-    y = signal.y
-    N = signal.N
-    if float(y @ y) <= 0.0:
-        raise ModelError("signal is identically zero")
-    rng = np.random.default_rng(config.rng_seed)
-    space = sin_param_space()
-
-    omega = np.sort(np.asarray(config.init_omega, dtype=float))
-    if omega.size and (omega[0] <= 0.0 or omega[-1] >= math.pi):
-        raise ModelError("init_omega must lie strictly inside (0, pi)")
-    delta2 = config.delta2_init
-    rate = config.rate_init
-    data_cur, quad_cur = _data_part(omega, y, delta2)
-    if not np.isfinite(data_cur):
-        raise ModelError("initial state has zero posterior density")
-
-    yty = float(y @ y)
-    attempts = {"birth": 0, "death": 0, "update": 0, "rate": 0}
-    accepts = {"birth": 0, "death": 0, "update": 0, "rate": 0}
-    singular = 0
-    records: list[np.ndarray] = []
-    delta2_sum = 0.0
-    rate_sum = 0.0
-    recorded = 0
-
-    log_pi = math.log(math.pi)
-    log_db = _log_prob_ratio(config.death_prob, config.birth_prob)
-    for it in range(config.iterations):
-        k = omega.size
-        u = rng.random()
-        if u < config.birth_prob:
-            # birth: uniform new frequency; prior and proposal densities cancel
-            attempts["birth"] += 1
-            if k < config.k_max:
-                new = rng.random() * math.pi
-                prop = birth_state(omega, new)
-                data_p, quad_p = _data_part(prop, y, delta2)
-                if not np.isfinite(data_p):
-                    singular += 1
-                log_r = (
-                    data_p - data_cur
-                    + _log_k_prior(k + 1, rate, config.k_max)
-                    - _log_k_prior(k, rate, config.k_max)
-                    + log_db
-                    + log_pi
-                )
-                if math.log(rng.random()) < log_r:
-                    omega, data_cur, quad_cur = prop, data_p, quad_p
-                    accepts["birth"] += 1
-        elif u < config.birth_prob + config.death_prob:
-            attempts["death"] += 1
-            if k > 0:
-                idx = int(rng.integers(k))
-                prop = death_state(omega, idx)
-                data_p, quad_p = _data_part(prop, y, delta2)
-                log_r = (
-                    data_p - data_cur
-                    + _log_k_prior(k - 1, rate, config.k_max)
-                    - _log_k_prior(k, rate, config.k_max)
-                    - log_db
-                    - log_pi
-                )
-                if math.log(rng.random()) < log_r:
-                    omega, data_cur, quad_cur = prop, data_p, quad_p
-                    accepts["death"] += 1
-        else:
-            # reflected random-walk on each frequency in turn; the proposal
-            # is symmetric and positions stay fixed within the sweep (the
-            # state is resorted only after the last inner step)
-            for j in range(k):
-                attempts["update"] += 1
-                w = omega[j] + config.rw_step * rng.standard_normal()
-                while w < 0.0 or w > math.pi:
-                    w = abs(w)
-                    if w > math.pi:
-                        w = 2.0 * math.pi - w
-                prop = omega.copy()
-                prop[j] = w
-                data_p, quad_p = _data_part(np.sort(prop), y, delta2)
-                if not np.isfinite(data_p):
-                    singular += 1
-                if math.log(rng.random()) < data_p - data_cur:
-                    omega, data_cur, quad_cur = prop, data_p, quad_p
-                    accepts["update"] += 1
-            if k:
-                omega = np.sort(omega)
-
-        if config.sample_delta2:
-            # refresh delta2 through its exact conditional given auxiliary
-            # draws of (sigma2, amplitudes), then discard the auxiliaries
-            k = omega.size
-            shrink = delta2 / (1.0 + delta2)
-            ypy = yty - shrink * quad_cur
-            sigma2 = _sample_inverse_gamma(rng, 0.5 * N, 0.5 * ypy)
-            if k:
-                D, cho, Dty, _ = _design_factor(omega, y)
-                mean = shrink * linalg.cho_solve(cho, Dty, check_finite=False)
-                z = rng.standard_normal(2 * k)
-                dev = linalg.solve_triangular(cho[0], z, lower=False, check_finite=False)
-                a = mean + math.sqrt(sigma2 * shrink) * dev
-                Da = D @ a
-                energy = float(Da @ Da)
-            else:
-                energy = 0.0
-            delta2 = _sample_inverse_gamma(
-                rng, config.alpha_delta + k, config.beta_delta + 0.5 * energy / sigma2
-            )
-            if k:
-                shrink = delta2 / (1.0 + delta2)
-                data_cur = -k * math.log1p(delta2) - 0.5 * N * math.log(
-                    yty - shrink * quad_cur
-                )
-
-        if config.sample_rate:
-            # conjugate-form proposal; the truncation of p(k | rate) at k_max
-            # leaves a residual mass ratio to correct for
-            attempts["rate"] += 1
-            k = omega.size
-            prop_rate = rng.gamma(config.alpha_rate + k, 1.0 / (config.beta_rate + 1.0))
-            if prop_rate > 0:
-                log_r = _log_trunc_poisson_mass(rate, config.k_max) - _log_trunc_poisson_mass(
-                    prop_rate, config.k_max
-                )
-                if math.log(rng.random()) < log_r:
-                    rate = prop_rate
-                    accepts["rate"] += 1
-
-        if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0:
-            records.append(omega.reshape(-1, 1).copy())
-            delta2_sum += delta2
-            rate_sum += rate
-            recorded += 1
-
-    rates = {
-        m: (accepts[m] / attempts[m] if attempts[m] else math.nan) for m in attempts
-    }
-    provenance = {
-        "sampler": "sinusoid-rjmcmc",
-        "seed": config.rng_seed,
-        "iterations": config.iterations,
-        "burn_in": config.burn_in,
-        "thinning": config.thinning,
-        "extras": {
-            "acceptance_rates": rates,
-            "mean_delta2": delta2_sum / max(recorded, 1),
-            "mean_rate": rate_sum / max(recorded, 1),
-            "singular_proposals": singular,
-            "k_max": config.k_max,
-            "N": N,
-        },
-    }
-    return SampleSet.ingest(space, records, provenance)
+    return rjmcmc.run(_SinChain(signal, config))

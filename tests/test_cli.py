@@ -98,6 +98,14 @@ def test_auger_without_muons_or_file_is_data_error(tmp_path):
     assert rc == 2
 
 
+def test_auger_infinite_amplitude_rate_is_data_error(tmp_path):
+    # a zero gamma scale would make the truncated amplitude draw loop forever
+    rc = cli.main(["simulate-auger", "--seed", "1", "--muon", "100:60", "--amp-beta", "inf",
+                   "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate / fit / report wiring
 # ---------------------------------------------------------------------------
@@ -415,6 +423,8 @@ def test_montecarlo_config_rejects_counts_below_one(field):
         ({"reconstruction_draws": 0}, []),
         ({}, ["--replicates", "0"]),
         ({}, ["--draws", "0"]),
+        ({"chain": {"beta_rate": -1}}, []),
+        ({"chain": {"init_omega": [4.0]}}, []),
     ],
 )
 def test_montecarlo_cli_bad_settings_are_data_errors(tmp_path, config, flags):

@@ -240,6 +240,16 @@ def test_chain_config_validation():
         SinChainConfig(iterations=100, burn_in=100)
     with pytest.raises(ModelError):
         SinChainConfig(k_max=2, init_omega=(0.3, 0.6, 0.9))
+    # a bad setting must fail here: inside the chain, beta_rate=-1 is a
+    # ZeroDivisionError and alpha_delta=-5 a numpy ValueError
+    for bad in (
+        {"beta_rate": -1.0}, {"alpha_delta": -5.0}, {"rw_step": 0.0},
+        {"beta_delta": math.nan}, {"alpha_rate": math.inf}, {"delta2_init": math.inf},
+        {"thinning": math.nan}, {"iterations": 1e3}, {"k_max": 0},
+        {"birth_prob": math.nan, "update_prob": 0.75}, {"init_omega": (0.5, math.pi)},
+    ):
+        with pytest.raises(ModelError):
+            SinChainConfig(**bad)
 
 
 def test_chain_marginals_match_gridded_target():
