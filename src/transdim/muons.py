@@ -156,6 +156,21 @@ def _muon_array(muons) -> np.ndarray:
     return arr
 
 
+def _unit_masses(times, edges: np.ndarray, shape: PulseShape) -> np.ndarray:
+    """Bin masses of unit-amplitude muons, one row per arrival time, clamped
+    so that a sum of contributions is exactly that of the combined set."""
+    return np.maximum(np.diff(pulse_cdf(edges - np.reshape(times, (-1, 1)), shape), axis=1), 0.0)
+
+
+def _canonical_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of amplitude times mass row over (arrival, amplitude, masses...)
+    rows in (arrival, amplitude) order: bit-identical under permutation."""
+    out = np.zeros(rows.shape[1] - 2)
+    for i in np.lexsort((rows[:, 1], rows[:, 0])):
+        out += rows[i, 1] * rows[i, 2:]
+    return out
+
+
 def expected_bin_counts(
     muons,
     signal: PECountSignal,
@@ -169,19 +184,7 @@ def expected_bin_counts(
     under permutation of the input.
     """
     arr = _muon_array(muons)
-    n = signal.n_bins
-    if arr.shape[0] == 0:
-        return np.zeros(n)
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    times, amps = arr[order, 0], arr[order, 1]
-    # per-muon masses are clamped before accumulation so that a sum of
-    # contributions is exactly the contribution of the combined set
-    mass = np.diff(pulse_cdf(signal.edges()[None, :] - times[:, None], shape), axis=1)
-    mass = np.maximum(mass, 0.0)
-    out = np.zeros(n)
-    for amp, row in zip(amps, mass):
-        out += amp * row
-    return out
+    return _canonical_sum(np.hstack([arr, _unit_masses(arr[:, 0], signal.edges(), shape)]))
 
 
 def log_likelihood_pe(counts, expected) -> float:
@@ -255,7 +258,10 @@ class AugerChainConfig:
 
 
 class _AugerChain(rjmcmc.Chain):
-    """State (muons sorted by arrival, log likelihood)."""
+    """State (rows, log likelihood).  A row holds a muon's (arrival,
+    amplitude) and then its ``_unit_masses`` row; rows are sorted by arrival,
+    so the engine's sort by column 0 keeps each mass row with its muon.
+    """
 
     sampler = "auger-rjmcmc"
 
@@ -273,44 +279,51 @@ class _AugerChain(rjmcmc.Chain):
             # positive; an all-zero trace starts from the empty configuration
             total = int(signal.counts.sum())
             muons = np.array([[self.lo, float(total)]]) if total else np.zeros((0, 2))
-        self.state = (muons, self._loglik(muons))
+        self.edges, self.n = signal.edges(), signal.counts.astype(float)
+        self.log_n_fact = np.sum(gammaln(self.n + 1.0))
+        rows = np.hstack([muons, _unit_masses(muons[:, 0], self.edges, config.pulse)])
+        self.state = (rows, self._loglik(rows))
         self.log_rate = math.log(config.rate)
 
-    def _loglik(self, muons: np.ndarray) -> float:
-        return log_likelihood_pe(
-            self.signal.counts, expected_bin_counts(muons, self.signal, self.config.pulse)
-        )
+    def _loglik(self, rows: np.ndarray) -> float:
+        """``log_likelihood_pe(counts, expected_bin_counts(muons))``, same operations,
+        count terms computed once per chain."""
+        nbar = _canonical_sum(rows)
+        with np.errstate(divide="ignore"):
+            return float(xlogy(self.n, nbar).sum() - nbar.sum() - self.log_n_fact)
 
     def birth(self, log_q):
         # new muon from the priors; prior and proposal densities cancel.  The
         # amplitude prior is Gamma truncated to (0, a_max]; resampling
         # implements the truncation exactly and essentially never loops
-        cfg, rng, (muons, ll) = self.config, self.rng, self.state
+        cfg, rng, (rows, ll) = self.config, self.rng, self.state
         t = self.lo + (self.hi - self.lo) * rng.random()
         a = rng.gamma(cfg.amp_alpha, 1.0 / cfg.amp_beta)
         while not 0.0 < a <= cfg.a_max:
             a = rng.gamma(cfg.amp_alpha, 1.0 / cfg.amp_beta)
-        prop = np.concatenate([muons, [[t, float(a)]]])
+        row = np.hstack([[t, float(a)], _unit_masses(t, self.edges, cfg.pulse)[0]])
+        prop = np.vstack([rows, row])
         ll_p = self._loglik(prop)
-        log_r = ll_p - ll + self.log_rate - math.log(len(muons) + 1) + log_q
+        log_r = ll_p - ll + self.log_rate - math.log(len(rows) + 1) + log_q
         return log_r, (prop[np.argsort(prop[:, 0])], ll_p)
 
     def death(self, index, log_q):
-        muons, ll = self.state
-        prop = np.delete(muons, index, axis=0)
+        rows, ll = self.state
+        prop = np.delete(rows, index, axis=0)
         ll_p = self._loglik(prop)
-        return ll_p - ll - self.log_rate + math.log(len(muons)) + log_q, (prop, ll_p)
+        return ll_p - ll - self.log_rate + math.log(len(rows)) + log_q, (prop, ll_p)
 
     def update(self, j):
         # reflected walk on the arrival, log-scale walk on the amplitude
-        cfg, rng, (muons, ll) = self.config, self.rng, self.state
-        t_new = rjmcmc.reflect(muons[j, 0] + cfg.t_step * rng.standard_normal(), self.lo, self.hi)
-        a_old = muons[j, 1]
+        cfg, rng, (rows, ll) = self.config, self.rng, self.state
+        t_new = rjmcmc.reflect(rows[j, 0] + cfg.t_step * rng.standard_normal(), self.lo, self.hi)
+        a_old = rows[j, 1]
         a_new = a_old * math.exp(cfg.log_a_step * rng.standard_normal())
         if a_new > cfg.a_max:
             return None
-        prop = muons.copy()
-        prop[j] = (t_new, a_new)
+        prop = rows.copy()
+        prop[j, :2] = (t_new, a_new)
+        prop[j, 2:] = _unit_masses(t_new, self.edges, cfg.pulse)[0]
         ll_p = self._loglik(prop)
         # Gamma prior ratio plus the log-walk Jacobian a_new/a_old
         log_r = (ll_p - ll + cfg.amp_alpha * math.log(a_new / a_old)
@@ -318,7 +331,7 @@ class _AugerChain(rjmcmc.Chain):
         return log_r, (prop, ll_p)
 
     def record(self):
-        return self.state[0].copy()
+        return self.state[0][:, :2].copy()
 
     def extras(self):
         shape = self.config.pulse

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import lapack
 from scipy.special import gammaln
 
 from . import rjmcmc
@@ -120,21 +120,20 @@ def design_matrix(omega: np.ndarray, N: int) -> np.ndarray:
 
 
 def _design_factor(omega: np.ndarray, y: np.ndarray):
-    """Design products for sorted omega: (D, cho(D'D), D'y, y'D(D'D)^-1 D'y).
+    """Design products for sorted omega: (D, R, D'y, y'D(D'D)^-1 D'y), R the
+    upper Cholesky factor of D'D (LAPACK called directly, as cho_factor does).
 
     Returns None when D'D is numerically singular (coincident frequencies or
     frequencies at the boundary).
     """
     N = y.size
     D = design_matrix(omega, N)
-    G = D.T @ D
-    try:
-        cho = linalg.cho_factor(G, lower=False, check_finite=False)
-    except linalg.LinAlgError:
+    R, info = lapack.dpotrf(D.T @ D, clean=0)
+    if info > 0:
         return None
     Dty = D.T @ y
-    quad = float(Dty @ linalg.cho_solve(cho, Dty, check_finite=False))
-    return D, cho, Dty, quad
+    quad = float(Dty @ lapack.dpotrs(R, Dty)[0])
+    return D, R, Dty, quad
 
 
 def _data_part(omega: np.ndarray, y: np.ndarray, delta2: float):
@@ -223,9 +222,9 @@ def amplitude_posterior_mean(omega, y, delta2: float) -> np.ndarray:
     fac = _design_factor(omega, y)
     if fac is None:
         raise ModelError("design matrix has numerically singular normal equations")
-    _, cho, Dty, _ = fac
+    _, R, Dty, _ = fac
     shrink = delta2 / (1.0 + delta2)
-    return shrink * linalg.cho_solve(cho, Dty, check_finite=False)
+    return shrink * lapack.dpotrs(R, Dty)[0]
 
 
 def generate_synthetic_signal(
@@ -296,6 +295,9 @@ class _SinChain(rjmcmc.Chain):
         omega = np.sort(np.asarray(config.init_omega, dtype=float))
         self.delta2, self.rate = config.delta2_init, config.rate_init
         self.state = (omega, *_data_part(omega, self.y, self.delta2))
+        # cached terms of _log_k_prior: the normaliser at self.rate and log j!
+        self.log_norm = _log_trunc_series(self.rate, config.k_max)
+        self.log_fact = gammaln(np.arange(config.k_max + 1) + 1)
         self.singular = 0
         self.delta2_sum = self.rate_sum = 0.0
 
@@ -313,12 +315,16 @@ class _SinChain(rjmcmc.Chain):
     def death(self, index, log_q):
         return self._jump(death_state(self.state[0], index), log_q, -_LOG_PI)
 
+    def _log_k_prior(self, k: int) -> float:
+        """``_log_k_prior(k, rate, k_max)`` from the cached terms, same operations."""
+        return k * math.log(self.rate) - float(self.log_fact[k]) - self.log_norm - k * _LOG_PI
+
     def _jump(self, prop, log_q, log_pi):
         """Birth or death to ``prop``; log_pi is the frequency prior's +-log(pi)."""
-        (omega, data, _), rate, k_max = self.state, self.rate, self.config.k_max
+        omega, data, _ = self.state
         data_p, fac_p = self._score(prop)
-        log_r = (data_p - data + _log_k_prior(prop.size, rate, k_max)
-                 - _log_k_prior(omega.size, rate, k_max) + log_q + log_pi)
+        log_r = (data_p - data + self._log_k_prior(prop.size)
+                 - self._log_k_prior(omega.size) + log_q + log_pi)
         return log_r, (prop, data_p, fac_p)
 
     def update(self, j):
@@ -344,10 +350,10 @@ class _SinChain(rjmcmc.Chain):
             sigma2 = 0.5 * (yty - shrink * quad) / rng.gamma(0.5 * N)
             energy = 0.0
             if k:
-                D, cho, Dty, _ = fac
-                mean = shrink * linalg.cho_solve(cho, Dty, check_finite=False)
+                D, R, Dty, _ = fac
+                mean = shrink * lapack.dpotrs(R, Dty)[0]
                 z = rng.standard_normal(2 * k)
-                dev = linalg.solve_triangular(cho[0], z, lower=False, check_finite=False)
+                dev = lapack.dtrtrs(R, z)[0]
                 Da = D @ (mean + math.sqrt(sigma2 * shrink) * dev)
                 energy = float(Da @ Da)
             self.delta2 = (cfg.beta_delta + 0.5 * energy / sigma2) / rng.gamma(cfg.alpha_delta + k)
@@ -361,10 +367,10 @@ class _SinChain(rjmcmc.Chain):
             attempts["rate"] += 1
             prop_rate = rng.gamma(cfg.alpha_rate + k, 1.0 / (cfg.beta_rate + 1.0))
             if prop_rate > 0:
-                log_r = (-self.rate + _log_trunc_series(self.rate, cfg.k_max)) - (
-                    -prop_rate + _log_trunc_series(prop_rate, cfg.k_max))
+                log_norm_p = _log_trunc_series(prop_rate, cfg.k_max)
+                log_r = (-self.rate + self.log_norm) - (-prop_rate + log_norm_p)
                 if math.log(rng.random()) < log_r:
-                    self.rate = prop_rate
+                    self.rate, self.log_norm = prop_rate, log_norm_p
                     accepts["rate"] += 1
 
     def record(self):
