@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import gammainc, gammaincinv, gammaln, xlogy
 
 from . import rjmcmc
 from .model import ModelError, ParamSpace, SampleSet
@@ -163,8 +163,7 @@ def _unit_masses(times, edges: np.ndarray, shape: PulseShape) -> np.ndarray:
 
 
 def _canonical_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum of amplitude times mass row over (arrival, amplitude, masses...)
-    rows in (arrival, amplitude) order: bit-identical under permutation."""
+    """Sum of amplitude times mass row over the rows, in (arrival, amplitude) order."""
     out = np.zeros(rows.shape[1] - 2)
     for i in np.lexsort((rows[:, 1], rows[:, 0])):
         out += rows[i, 1] * rows[i, 2:]
@@ -255,13 +254,14 @@ class AugerChainConfig:
         )
         if len(self.init_muons) > self.k_max:
             raise ModelError("more initial muons than k_max allows")
+        if gammainc(self.amp_alpha, self.amp_beta * self.a_max) == 0.0:
+            raise ModelError("the amplitude prior has no mass in (0, a_max]")
 
 
 class _AugerChain(rjmcmc.Chain):
-    """State (rows, log likelihood).  A row holds a muon's (arrival,
-    amplitude) and then its ``_unit_masses`` row; rows are sorted by arrival,
-    so the engine's sort by column 0 keeps each mass row with its muon.
-    """
+    """State (rows, log likelihood).  A row holds a muon's (arrival, amplitude)
+    and then its ``_unit_masses`` row; rows are sorted by arrival, and the
+    engine's sort by column 0 keeps each mass row with its muon."""
 
     sampler = "auger-rjmcmc"
 
@@ -286,21 +286,22 @@ class _AugerChain(rjmcmc.Chain):
         self.log_rate = math.log(config.rate)
 
     def _loglik(self, rows: np.ndarray) -> float:
-        """``log_likelihood_pe(counts, expected_bin_counts(muons))``, same operations,
-        count terms computed once per chain."""
+        """``log_likelihood_pe(counts, expected_bin_counts(muons))``, same operations."""
         nbar = _canonical_sum(rows)
         with np.errstate(divide="ignore"):
             return float(xlogy(self.n, nbar).sum() - nbar.sum() - self.log_n_fact)
 
     def birth(self, log_q):
         # new muon from the priors; prior and proposal densities cancel.  The
-        # amplitude prior is Gamma truncated to (0, a_max]; resampling
-        # implements the truncation exactly and essentially never loops
+        # amplitude prior is Gamma truncated to (0, a_max]: a Gamma draw that
+        # misses it is replaced by an exact inverse-CDF draw, which misses
+        # again only by rounding to 0 (a tiny amp_alpha)
         cfg, rng, (rows, ll) = self.config, self.rng, self.state
         t = self.lo + (self.hi - self.lo) * rng.random()
         a = rng.gamma(cfg.amp_alpha, 1.0 / cfg.amp_beta)
         while not 0.0 < a <= cfg.a_max:
-            a = rng.gamma(cfg.amp_alpha, 1.0 / cfg.amp_beta)
+            u = rng.random() * gammainc(cfg.amp_alpha, cfg.amp_beta * cfg.a_max)
+            a = min(gammaincinv(cfg.amp_alpha, u) / cfg.amp_beta, cfg.a_max)
         row = np.hstack([[t, float(a)], _unit_masses(t, self.edges, cfg.pulse)[0]])
         prop = np.vstack([rows, row])
         ll_p = self._loglik(prop)

@@ -106,6 +106,15 @@ def test_auger_infinite_amplitude_rate_is_data_error(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+def test_auger_amplitude_prior_without_mass_below_a_max_is_data_error(tmp_path):
+    # Gamma(1000, rate 0.1) has no mass in (0, 500] at float precision; the
+    # truncated amplitude draw used to loop forever
+    rc = cli.main(["simulate-auger", "--seed", "1", "--muon", "100:60", "--amp-alpha", "1000",
+                   "--iterations", "300", "--burn-in", "10", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate / fit / report wiring
 # ---------------------------------------------------------------------------

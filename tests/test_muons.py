@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import gammaln, xlogy
+from scipy.special import gammainc, gammaln, xlogy
 
 from transdim.model import ModelError
+from transdim import muons
 from transdim.muons import (
     AugerChainConfig,
     MuonParams,
@@ -248,6 +249,8 @@ def test_chain_config_validation():
         {"amp_beta": math.inf}, {"t_step": math.nan}, {"log_a_step": -0.3},
         {"amp_alpha": math.inf}, {"a_max": math.nan}, {"rate": 0.0},
         {"burn_in": -1}, {"thinning": 0}, {"k_max": 2.5},
+        # Gamma(1000, rate 0.1) puts no mass in (0, 500] at float precision
+        {"amp_alpha": 1000.0},
     ):
         with pytest.raises(ModelError):
             AugerChainConfig(**bad)
@@ -351,3 +354,33 @@ def test_chain_samples_are_sorted_and_in_bounds():
         if s.k:
             assert np.all(np.diff(s.components[:, 0]) >= 0.0)
             assert bool(np.all(space.contains(s.components)))
+
+
+def test_birth_amplitude_follows_truncated_prior():
+    # a_max = 40 cuts Gamma(2, rate 0.05) at 26% of its mass, so about one
+    # draw in four goes through the inverse-CDF fallback; the mixture must
+    # still be the prior truncated to (0, a_max]
+    sig = simulate_pe_signal([(150.0, 60.0)], 20, seed=3)
+    cfg = AugerChainConfig(amp_alpha=2.0, amp_beta=0.05, a_max=40.0, init_muons=((150.0, 30.0),),
+                           rng_seed=5)
+    chain = muons._AugerChain(sig, cfg)
+    amps = []
+    for _ in range(4000):
+        _, (rows, _) = chain.birth(0.0)
+        amps.append(rows[rows[:, 1] != 30.0, 1][0])
+    amps = np.array(amps)
+    assert np.all((amps > 0.0) & (amps <= cfg.a_max))
+    mass = gammainc(cfg.amp_alpha, cfg.amp_beta * cfg.a_max)
+    cdf = lambda x: gammainc(cfg.amp_alpha, cfg.amp_beta * x) / mass  # noqa: E731
+    assert stats.kstest(amps, cdf).pvalue > 1e-3
+
+
+def test_chain_finishes_when_prior_mass_below_a_max_is_tiny():
+    # Gamma(100, rate 0.1) has mass 3.2e-10 in (0, 500]: resampling until a
+    # draw landed there never ended
+    sig = simulate_pe_signal([(150.0, 60.0), (400.0, 50.0)], 30, seed=3)
+    cfg = AugerChainConfig(iterations=600, burn_in=100, amp_alpha=100.0, amp_beta=0.1,
+                           a_max=500.0, rng_seed=3)
+    ss = rjmcmc_run_auger(sig, cfg)
+    amps = np.concatenate([s.components[:, 1] for s in ss.samples])
+    assert amps.size and np.all((amps > 0.0) & (amps <= cfg.a_max))
