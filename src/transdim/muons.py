@@ -162,11 +162,11 @@ def _unit_masses(times, edges: np.ndarray, shape: PulseShape) -> np.ndarray:
     return np.maximum(np.diff(pulse_cdf(edges - np.reshape(times, (-1, 1)), shape), axis=1), 0.0)
 
 
-def _canonical_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum of amplitude times mass row over the rows, in (arrival, amplitude) order."""
-    out = np.zeros(rows.shape[1] - 2)
-    for i in np.lexsort((rows[:, 1], rows[:, 0])):
-        out += rows[i, 1] * rows[i, 2:]
+def _canonical_sum(times, amps, masses) -> np.ndarray:
+    """Sum of ``amps[i] * masses[i]`` in (arrival, amplitude) order."""
+    out = np.zeros(masses.shape[1])
+    for i in np.lexsort((amps, times)):
+        out += amps[i] * masses[i]
     return out
 
 
@@ -183,7 +183,7 @@ def expected_bin_counts(
     under permutation of the input.
     """
     arr = _muon_array(muons)
-    return _canonical_sum(np.hstack([arr, _unit_masses(arr[:, 0], signal.edges(), shape)]))
+    return _canonical_sum(arr[:, 0], arr[:, 1], _unit_masses(arr[:, 0], signal.edges(), shape))
 
 
 def log_likelihood_pe(counts, expected) -> float:
@@ -287,7 +287,7 @@ class _AugerChain(rjmcmc.Chain):
 
     def _loglik(self, rows: np.ndarray) -> float:
         """``log_likelihood_pe(counts, expected_bin_counts(muons))``, same operations."""
-        nbar = _canonical_sum(rows)
+        nbar = _canonical_sum(rows[:, 0], rows[:, 1], rows[:, 2:])
         with np.errstate(divide="ignore"):
             return float(xlogy(self.n, nbar).sum() - nbar.sum() - self.log_n_fact)
 
