@@ -320,7 +320,7 @@ class _AugerChain(rjmcmc.Chain):
         t_new = rjmcmc.reflect(rows[j, 0] + cfg.t_step * rng.standard_normal(), self.lo, self.hi)
         a_old = rows[j, 1]
         a_new = a_old * math.exp(cfg.log_a_step * rng.standard_normal())
-        if a_new > cfg.a_max:
+        if not 0.0 < a_new <= cfg.a_max:  # outside the prior, or underflowed to 0
             return None
         prop = rows.copy()
         prop[j, :2] = (t_new, a_new)

@@ -384,3 +384,15 @@ def test_chain_finishes_when_prior_mass_below_a_max_is_tiny():
     ss = rjmcmc_run_auger(sig, cfg)
     amps = np.concatenate([s.components[:, 1] for s in ss.samples])
     assert amps.size and np.all((amps > 0.0) & (amps <= cfg.a_max))
+
+
+def test_amplitude_step_underflowing_to_zero_is_rejected():
+    # Gamma(0.002) amplitudes reach subnormal values, where a wide log-scale
+    # step underflows to 0: the step is outside the prior and is rejected
+    # (it raised "muon amplitudes must be positive")
+    sig = simulate_pe_signal([(150.0, 60.0), (400.0, 50.0)], 30, seed=3)
+    cfg = AugerChainConfig(iterations=3000, burn_in=100, amp_alpha=0.002, log_a_step=3.0,
+                           rng_seed=0)
+    ss = rjmcmc_run_auger(sig, cfg)
+    amps = np.concatenate([s.components[:, 1] for s in ss.samples])
+    assert amps.min() > 0.0
