@@ -8,7 +8,15 @@ import math
 import numpy as np
 import pytest
 
-from transdim.muons import AugerChainConfig, PECountSignal, rjmcmc_run_auger, simulate_pe_signal
+from transdim import muons, rjmcmc, sinusoid
+from transdim.muons import (
+    AugerChainConfig,
+    PECountSignal,
+    expected_bin_counts,
+    log_likelihood_pe,
+    rjmcmc_run_auger,
+    simulate_pe_signal,
+)
 from transdim.rjmcmc import reflect
 from transdim.sinusoid import SinChainConfig, generate_synthetic_signal, rjmcmc_run
 
@@ -91,3 +99,73 @@ def test_reflect_matches_the_zero_floor_form_bitwise():
 def test_reflect_stays_in_a_shifted_window():
     for x, want in ((-30.0, 70.0), (530.0, 510.0), (250.0, 250.0), (1050.0, 50.0)):
         assert reflect(x, 20.0, 520.0) == want
+
+
+# ---------------------------------------------------------------------------
+# cached likelihood state against a fresh recompute after every iteration
+# ---------------------------------------------------------------------------
+
+
+class _CheckedAuger(muons._AugerChain):
+    """Checks the cached mass rows and log likelihood after every iteration."""
+
+    def refresh(self, attempts, accepts):
+        super().refresh(attempts, accepts)
+        rows, ll = self.state
+        shape, k = self.config.pulse, len(rows)
+        self.ks.add(k)
+        assert rows.shape == (k, 2 + self.signal.n_bins)
+        assert np.all(np.diff(rows[:, 0]) >= 0.0)
+        for t, _, *masses in rows:
+            unit = expected_bin_counts(np.array([[t, 1.0]]), self.signal, shape)
+            assert np.array_equal(np.array(masses), unit)
+        fresh = log_likelihood_pe(self.signal.counts,
+                                  expected_bin_counts(rows[:, :2], self.signal, shape))
+        assert ll == fresh
+
+
+class _CheckedSin(sinusoid._SinChain):
+    """Checks the cached prior terms and data part after every iteration."""
+
+    def refresh(self, attempts, accepts):
+        super().refresh(attempts, accepts)
+        (omega, data, fac), k_max = self.state, self.config.k_max
+        self.ks.add(omega.size)
+        assert self.log_norm == sinusoid._log_trunc_series(self.rate, k_max)
+        for k in range(k_max + 1):
+            assert self._log_k_prior(k) == sinusoid._log_k_prior(k, self.rate, k_max)
+        fresh, fresh_fac = sinusoid._data_part(omega, self.y, self.delta2)
+        assert data == fresh
+        if omega.size:
+            for cached, want in zip(fac, fresh_fac):
+                assert np.array_equal(cached, want)
+
+
+@pytest.mark.parametrize("start, settings", [
+    ("one muon", {}),
+    ("empty", {"rate": 1.0}),
+    ("k_max", {"k_max": 3, "init_muons": ((100.0, 40.0), (150.0, 60.0), (400.0, 50.0))}),
+    ("a_max", {"a_max": 70.0, "init_muons": ((150.0, 50.0),)}),
+])
+def test_muon_cached_state_equals_recompute(start, settings):
+    signal = PECountSignal(np.zeros(12, dtype=np.int64)) if start == "empty" else _two_muons()
+    chain = _CheckedAuger(signal, AugerChainConfig(iterations=400, burn_in=0, rng_seed=8,
+                                                   **settings))
+    chain.ks = set()
+    ss = rjmcmc.run(chain)
+    assert ss.samples[0].components.shape[1] == 2
+    assert len(chain.ks) > 1  # births and deaths were accepted
+
+
+@pytest.mark.parametrize("settings", [
+    {},
+    {"init_omega": (0.63, 0.73)},
+    {"k_max": 2, "init_omega": (0.6, 2.0)},
+    {"sample_delta2": False, "sample_rate": False},
+])
+def test_sinusoid_cached_state_equals_recompute(settings):
+    chain = _CheckedSin(_three_tones(), SinChainConfig(iterations=400, burn_in=0, rng_seed=9,
+                                                       **settings))
+    chain.ks = set()
+    rjmcmc.run(chain)
+    assert len(chain.ks) > 1

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import lapack
 from scipy.special import gammaln, logsumexp
 
 from transdim.model import ModelError
@@ -19,6 +20,8 @@ from transdim.oracle import quadrature_log_marginal
 from transdim.sinusoid import (
     SinChainConfig,
     SinusoidSignal,
+    _data_part,
+    _design_factor,
     amplitude_posterior_mean,
     birth_state,
     death_state,
@@ -164,6 +167,47 @@ def test_amplitude_mean_shrinks_by_expected_factor():
     full = amplitude_posterior_mean(sig.true_omega, sig.y, 1e12)
     got = amplitude_posterior_mean(sig.true_omega, sig.y, d2)
     np.testing.assert_allclose(got, d2 / (1 + d2) * full, rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the design factor's direct LAPACK calls
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "omega", [[0.7, 0.7], [0.4, 1.9, 1.9], [1.2, 1.2, 2.0], [0.0], [0.0, 1.3]]
+)
+def test_singular_design_is_minus_inf_and_has_no_amplitude_mean(omega):
+    # coincident frequencies repeat a column; a frequency at 0 gives an
+    # all-zero sine column
+    y = np.random.default_rng(3).standard_normal(16)
+    data, fac = _data_part(np.array(omega), y, 5.0)
+    assert data == -np.inf
+    assert fac is None
+    with pytest.raises(ModelError):
+        amplitude_posterior_mean(omega, y, 5.0)
+
+
+@pytest.mark.parametrize(
+    "omega", [[0.3], [0.63, 0.68, 0.73], [0.5, 1.5, 2.5, 3.0], [0.1, 0.2, 0.9, 1.7, 2.2, 2.9]]
+)
+def test_design_factor_matches_dense_solves(omega):
+    y = np.random.default_rng(7).standard_normal(64)
+    omega = np.array(omega)
+    D = design_matrix(omega, 64)
+    G, Dty = D.T @ D, D.T @ y
+    ref = np.linalg.solve(G, Dty)
+    D_f, R, Dty_f, quad = _design_factor(omega, y)
+    np.testing.assert_array_equal(D_f, D)
+    np.testing.assert_array_equal(Dty_f, Dty)
+    R = np.triu(R)  # the lower triangle is not part of the factor
+    np.testing.assert_allclose(R.T @ R, G, rtol=1e-12, atol=1e-12 * np.abs(G).max())
+    assert quad == pytest.approx(float(Dty @ ref), rel=1e-12)
+    np.testing.assert_allclose(amplitude_posterior_mean(omega, y, 5.0), 5.0 / 6.0 * ref,
+                               rtol=1e-12)
+    # the delta2 refresh's triangular solve
+    z = np.random.default_rng(1).standard_normal(omega.size * 2)
+    np.testing.assert_allclose(lapack.dtrtrs(R, z)[0], np.linalg.solve(R, z), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
