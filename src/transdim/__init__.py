@@ -11,16 +11,12 @@ from .model import (
     AllocationVector,
     ApproxModel,
     GaussianComponent,
-    IndicatorVector,
     ParamSpace,
     SampleSet,
     VariableDimSample,
-    allocation_log_prior,
-    component_log_density,
     indicator_from_allocation,
     labeled_joint_log_density,
     model_intensity,
-    sample_from_model,
 )
 from .muons import (
     AugerChainConfig,
@@ -45,7 +41,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "GaussianComponent",
-    "IndicatorVector",
     "PECountSignal",
     "ParamSpace",
     "PulseShape",
@@ -53,15 +48,12 @@ __all__ = [
     "SinChainConfig",
     "SinusoidSignal",
     "VariableDimSample",
-    "allocation_log_prior",
-    "component_log_density",
     "generate_synthetic_signal",
     "indicator_from_allocation",
     "labeled_joint_log_density",
     "model_intensity",
     "rjmcmc_run",
     "rjmcmc_run_auger",
-    "sample_from_model",
     "sem_fit",
     "simulate_pe_signal",
 ]

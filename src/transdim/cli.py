@@ -7,9 +7,7 @@ inconsistent inputs), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -35,20 +33,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 _fmt = storage._fmt  # reals at 17 significant digits read back exactly
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _given(args, cls) -> dict:
@@ -84,7 +69,7 @@ def _cmd_simulate_sin(args) -> int:
     storage.write_samples(samples, args.out)
     if args.signal_out:
         clean = design_matrix(sig.true_omega, sig.N) @ sig.true_amplitudes
-        _write_json(
+        storage.write_json(
             {
                 "format": "transdim-signal",
                 "version": 1,
@@ -137,8 +122,9 @@ def _cmd_fit(args) -> int:
     storage.write_model(result.model, args.out)
     if args.trace_out:
         rows = zip(result.trace.criteria, result.trace.counts, result.trace.accept_rates)
-        _write_csv(args.trace_out, ["iteration", "criterion", "components", "accept_rate", "outliers"],
-                   ([i, _fmt(c), len(n) - 1, _fmt(a), int(n[-1])] for i, (c, n, a) in enumerate(rows)))
+        storage.write_csv(
+            args.trace_out, ["iteration", "criterion", "components", "accept_rate", "outliers"],
+            ([i, _fmt(c), len(n) - 1, _fmt(a), int(n[-1])] for i, (c, n, a) in enumerate(rows)))
     if args.allocations_out:
         with open(args.allocations_out, "w", encoding="utf-8") as fh:
             for z in result.allocations:
@@ -228,22 +214,23 @@ def _cmd_report(args) -> int:
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
     storage.write_report(report.to_dict(), out / "report.json")
-    _write_csv(out / "pk.csv", ["k", "probability"], ([k, _fmt(p)] for k, p in enumerate(report.p_k)))
+    storage.write_csv(out / "pk.csv", ["k", "probability"], ([k, _fmt(p)] for k, p in enumerate(report.p_k)))
     heights, edges = diagnostics.bma_histogram_intensity(samples, bins=args.hist_bins, dim=args.dim)
-    _write_csv(out / "histogram.csv", ["left", "right", "height"],
-               ([_fmt(edges[b]), _fmt(edges[b + 1]), _fmt(heights[b])] for b in range(heights.size)))
+    storage.write_csv(
+        out / "histogram.csv", ["left", "right", "height"],
+        ([_fmt(edges[b]), _fmt(edges[b + 1]), _fmt(heights[b])] for b in range(heights.size)))
     if model.space.dim == 1:
         lo, hi = model.space.bounds[0]
         grid = np.linspace(lo, hi, args.grid_points)
         curve = diagnostics.intensity_curve(model, grid)
-        _write_csv(out / "intensity.csv", ["theta", "intensity"],
-                   ([_fmt(x), _fmt(v)] for x, v in zip(grid, curve)))
+        storage.write_csv(out / "intensity.csv", ["theta", "intensity"],
+                          ([_fmt(x), _fmt(v)] for x, v in zip(grid, curve)))
     if report.residual_points is not None:
-        _write_csv(out / "residuals.csv", [f"coord{j}" for j in range(samples.space.dim)],
-                   ([_fmt(v) for v in row] for row in report.residual_points))
+        storage.write_csv(out / "residuals.csv", [f"coord{j}" for j in range(samples.space.dim)],
+                          ([_fmt(v) for v in row] for row in report.residual_points))
     if recon_columns is not None:
-        _write_csv(out / "reconstruction.csv", ["y", "bma", "model"],
-                   ([_fmt(v) for v in vals] for vals in zip(*recon_columns)))
+        storage.write_csv(out / "reconstruction.csv", ["y", "bma", "model"],
+                          ([_fmt(v) for v in vals] for vals in zip(*recon_columns)))
     print(f"report written to {args.outdir}")
     return EXIT_OK
 

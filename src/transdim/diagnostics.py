@@ -21,6 +21,7 @@ from .model import (
     model_intensity,
     sample_batch_from_model,
 )
+from .sinusoid import design_matrix
 
 __all__ = [
     "SummaryReport",
@@ -211,7 +212,6 @@ def _mean_reconstruction(
     if n_total == 0:
         raise ModelError("no draws to reconstruct from")
     N = y.size
-    t = np.arange(N)
     shrink = delta2 / (1.0 + delta2)
     ks = np.array([w.size for w in freqs])
     acc = np.zeros(N)
@@ -225,10 +225,7 @@ def _mean_reconstruction(
         stacked = np.stack([freqs[i] for i in idx])
         for start in range(0, stacked.shape[0], chunk):
             W = stacked[start : start + chunk]
-            ang = W[:, None, :] * t[None, :, None]
-            D = np.empty((W.shape[0], N, 2 * k))
-            D[:, :, 0::2] = np.cos(ang)
-            D[:, :, 1::2] = np.sin(ang)
+            D = design_matrix(W, N)
             G = np.einsum("nij,nik->njk", D, D)
             Dty = np.einsum("nij,i->nj", D, y)
             try:

@@ -55,7 +55,7 @@ class FitConfig:
     empirical distribution of k: ``"percentile"`` takes the smallest k whose
     CDF reaches ``percentile_for_L``, ``"threshold"`` the largest k whose
     probability is at least ``threshold_for_L``, and ``"fixed"`` uses
-    ``fixed_L`` verbatim.
+    ``fixed_L`` (lowered to the largest k observed when no sample reaches it).
     """
 
     iterations: int = 100
@@ -152,18 +152,22 @@ def initialize_model(samples: SampleSet, config: FitConfig) -> ApproxModel:
     scaled interquartile range of the l-th sorted component across those
     samples seed mu_l and sigma_l.  Falls back to samples with k >= L
     (taking the first L sorted components) when no sample has exactly k = L.
+    A fixed L above every observed k is lowered to the largest k.
     """
     if len(samples) == 0:
         raise ModelError("cannot initialize from an empty sample set")
     space = samples.space
-    L = choose_component_count(samples.k_values(), config)
+    ks = samples.k_values()
+    L = choose_component_count(ks, config)
+    if L > ks.max():
+        logger.warning("no samples with k >= %d; lowering L to %d, the largest k observed",
+                       L, ks.max())
+        L = int(ks.max())
     if L == 0:
         return ApproxModel(space, [], config.init_lambda)
     pool = [s.components for s in samples.samples if s.k == L]
     if not pool:
         pool = [s.components for s in samples.samples if s.k >= L]
-        if not pool:
-            raise ModelError(f"no samples with k >= {L} to initialize from")
         logger.warning(
             "no samples with k = %d; initializing from %d samples with k >= %d",
             L, len(pool), L,
@@ -414,6 +418,8 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
     M = len(samples)
     groups = _group_by_k(samples)
     notes: list = []
+    if config.init_rule == "fixed" and model.L < config.fixed_L:
+        notes.append(f"fixed_L={config.fixed_L} lowered to {model.L}, the largest k observed")
 
     Z = {}
     for k in sorted(groups):

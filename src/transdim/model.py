@@ -21,13 +21,9 @@ __all__ = [
     "AllocationVector",
     "GaussianComponent",
     "ApproxModel",
-    "IndicatorVector",
     "SampleSet",
     "indicator_from_allocation",
-    "allocation_log_prior",
-    "component_log_density",
     "labeled_joint_log_density",
-    "sample_from_model",
     "sample_batch_from_model",
     "model_intensity",
 ]
@@ -179,20 +175,6 @@ class ApproxModel:
 
 
 @dataclass
-class IndicatorVector:
-    """Per-component presence counts; the last entry counts outlier points."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64).reshape(-1)
-
-    @property
-    def n_outliers(self) -> int:
-        return int(self.counts[-1])
-
-
-@dataclass
 class SampleSet:
     """Ordered collection of variable-dimensional samples plus provenance.
 
@@ -305,8 +287,9 @@ def _truncated_normal_draws(
 # ---------------------------------------------------------------------------
 
 
-def indicator_from_allocation(z: AllocationVector, L: int) -> IndicatorVector:
-    """Count how many points each label received.
+def indicator_from_allocation(z: AllocationVector, L: int) -> np.ndarray:
+    """Count how many points each label received: an (L+1,) array whose last
+    entry counts the outlier points.
 
     Raises if a label is out of range or a Gaussian label repeats (the
     allocation is then not a valid labeling).
@@ -318,51 +301,7 @@ def indicator_from_allocation(z: AllocationVector, L: int) -> IndicatorVector:
     if np.any(counts[:L] > 1):
         bad = int(np.argmax(counts[:L] > 1)) + 1
         raise ModelError(f"Gaussian label {bad} repeated: allocation is invalid")
-    return IndicatorVector(counts)
-
-
-def allocation_log_prior(z: AllocationVector, model: ApproxModel) -> float:
-    """Log probability of an allocation vector under the model.
-
-    Marginalizes nothing: this is log[ q(z | xi) q(xi) ] with xi the
-    indicator implied by ``z``.  Returns ``-inf`` when a gate with pi = 1
-    is closed (or pi would need to be 0), never raises for that case.
-    """
-    L = model.L
-    xi = indicator_from_allocation(z, L).counts
-    k = z.k
-    n_out = int(xi[L])
-    out = -model.lam - float(gammaln(k + 1))
-    if n_out > 0:
-        if model.lam == 0.0:
-            return -np.inf
-        out += n_out * math.log(model.lam)
-    pis = model.pis()
-    present = xi[:L] == 1
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(pis)
-        log_1m = np.log1p(-pis)
-    out += float(np.sum(np.where(present, log_pi, log_1m)))
-    return out
-
-
-def component_log_density(theta: np.ndarray, label: int, model: ApproxModel) -> float:
-    """Log density of one point given its source label.
-
-    Gaussian labels use the box-truncated density; the outlier label uses
-    the uniform density on the box.
-    """
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.shape[0] != model.space.dim:
-        raise ModelError("theta dimension does not match the space")
-    if not bool(model.space.contains(theta)):
-        raise ModelError(f"theta {theta} lies outside the parameter box")
-    L = model.L
-    if not (1 <= label <= L + 1):
-        raise ModelError(f"label must lie in 1..{L + 1}")
-    if label == L + 1:
-        return -model.space.log_volume
-    return float(_gaussian_log_densities(theta, model)[label - 1])
+    return counts
 
 
 def labeled_joint_log_density(
@@ -374,7 +313,7 @@ def labeled_joint_log_density(
     if x.k and not bool(np.all(model.space.contains(x.components))):
         raise ModelError("sample has components outside the parameter box")
     L = model.L
-    xi = indicator_from_allocation(z, L).counts
+    xi = indicator_from_allocation(z, L)
     n_out = int(xi[L])
     out = -model.lam - float(gammaln(x.k + 1))
     if n_out > 0:
@@ -451,14 +390,6 @@ def sample_batch_from_model(
     out_samples = [points[i, : k[i]].copy() for i in range(size)]
     out_labels = [labels[i, : k[i]].copy() for i in range(size)]
     return out_samples, out_labels
-
-
-def sample_from_model(
-    model: ApproxModel, rng: np.random.Generator | int
-) -> tuple[VariableDimSample, AllocationVector]:
-    """Draw one sample and its true allocation from the generative model."""
-    pts, labs = sample_batch_from_model(model, 1, rng)
-    return VariableDimSample(pts[0]), AllocationVector(labs[0])
 
 
 def model_intensity(theta: np.ndarray, model: ApproxModel) -> np.ndarray | float:

@@ -10,7 +10,6 @@ the chain and from the fitted model.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import numbers
@@ -29,7 +28,7 @@ from .diagnostics import (
 from .fit import FitConfig, sem_fit
 from .model import ModelError
 from .sinusoid import SinChainConfig, design_matrix, generate_synthetic_signal, rjmcmc_run
-from .storage import spawn_seeds
+from .storage import _fmt, spawn_seeds, write_csv
 
 __all__ = ["MonteCarloConfig", "run_replicate", "run_monte_carlo", "write_mc_csv", "MC_COLUMNS"]
 
@@ -162,14 +161,7 @@ def run_monte_carlo(config: MonteCarloConfig) -> list[dict]:
 
 def write_mc_csv(rows: list[dict], path) -> None:
     """Aggregate table with a stable column order and full-precision reals."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MC_COLUMNS)
-        for row in rows:
-            out = []
-            for c in MC_COLUMNS:
-                v = row.get(c, "")
-                if isinstance(v, float):
-                    v = format(v, ".17g")
-                out.append(v)
-            writer.writerow(out)
+    def cell(v):
+        return _fmt(v) if isinstance(v, float) else v
+
+    write_csv(path, MC_COLUMNS, ([cell(row.get(c, "")) for c in MC_COLUMNS] for row in rows))

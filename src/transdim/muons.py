@@ -23,7 +23,6 @@ from .model import ModelError, ParamSpace, SampleSet
 __all__ = [
     "PulseShape",
     "PECountSignal",
-    "MuonParams",
     "AugerChainConfig",
     "auger_param_space",
     "pulse_density",
@@ -56,20 +55,6 @@ class PulseShape:
     def norm(self) -> float:
         """Total mass of the unnormalized profile: tau^2 / (t_d + tau)."""
         return self.decay**2 / (self.rise_time + self.decay)
-
-
-@dataclass(frozen=True)
-class MuonParams:
-    """Arrival time (ns) and expected photoelectron yield of one muon."""
-
-    arrival: float
-    amplitude: float
-
-    def __post_init__(self):
-        if not (self.amplitude > 0.0 and math.isfinite(self.amplitude)):
-            raise ModelError(f"amplitude must be positive, got {self.amplitude}")
-        if not math.isfinite(self.arrival):
-            raise ModelError("arrival time must be finite")
 
 
 @dataclass
@@ -146,11 +131,7 @@ def pulse_cdf(t, shape: PulseShape = PulseShape()):
 
 
 def _muon_array(muons) -> np.ndarray:
-    muons = list(muons) if not isinstance(muons, np.ndarray) else muons
-    if len(muons) and isinstance(muons[0], MuonParams):
-        arr = np.array([[m.arrival, m.amplitude] for m in muons], dtype=float)
-    else:
-        arr = np.asarray(muons, dtype=float).reshape(-1, 2)
+    arr = np.asarray(muons, dtype=float).reshape(-1, 2)
     if arr.size and np.any(arr[:, 1] <= 0.0):
         raise ModelError("muon amplitudes must be positive")
     return arr
@@ -177,7 +158,7 @@ def expected_bin_counts(
 ) -> np.ndarray:
     """Mean photoelectron count per bin for a set of muons.
 
-    ``muons`` is a sequence of MuonParams or a (k, 2) array of (arrival,
+    ``muons`` is a (k, 2) array, or a sequence of pairs, of (arrival,
     amplitude) rows.  Contributions are accumulated in a canonical order
     (sorted by arrival, then amplitude) so the result is bit-identical
     under permutation of the input.
@@ -254,8 +235,13 @@ class AugerChainConfig:
         )
         if len(self.init_muons) > self.k_max:
             raise ModelError("more initial muons than k_max allows")
-        if gammainc(self.amp_alpha, self.amp_beta * self.a_max) == 0.0:
+        mass = gammainc(self.amp_alpha, self.amp_beta * self.a_max)
+        if mass == 0.0:
             raise ModelError("the amplitude prior has no mass in (0, a_max]")
+        # the birth redraws an amplitude that rounds to 0; with a positive
+        # median each redraw ends the loop with probability at least 1/2
+        if gammaincinv(self.amp_alpha, 0.5 * mass) / self.amp_beta == 0.0:
+            raise ModelError("the amplitude prior's median in (0, a_max] rounds to 0")
 
 
 class _AugerChain(rjmcmc.Chain):

@@ -32,8 +32,6 @@ __all__ = [
     "log_marginal_likelihood",
     "amplitude_posterior_mean",
     "generate_synthetic_signal",
-    "birth_state",
-    "death_state",
     "rjmcmc_run",
 ]
 
@@ -108,14 +106,15 @@ class SinChainConfig:
 
 
 def design_matrix(omega: np.ndarray, N: int) -> np.ndarray:
-    """N x 2k matrix of cosine/sine columns at sample indices 0..N-1."""
-    omega = np.asarray(omega, dtype=float).reshape(-1)
-    k = omega.size
-    D = np.empty((N, 2 * k))
+    """N x 2k matrix of interleaved cosine/sine columns at sample indices
+    0..N-1; omega of shape (..., k) gives one matrix per row, (..., N, 2k)."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    k = omega.shape[-1]
+    D = np.empty(omega.shape[:-1] + (N, 2 * k))
     if k:
-        phase = np.arange(N)[:, None] * omega[None, :]
-        D[:, 0::2] = np.cos(phase)
-        D[:, 1::2] = np.sin(phase)
+        phase = np.arange(N)[:, None] * omega[..., None, :]
+        D[..., 0::2] = np.cos(phase)
+        D[..., 1::2] = np.sin(phase)
     return D
 
 
@@ -270,17 +269,6 @@ def generate_synthetic_signal(
 _LOG_PI = math.log(math.pi)
 
 
-def birth_state(omega: np.ndarray, new: float) -> np.ndarray:
-    """Insert a frequency, keeping the state sorted."""
-    pos = int(np.searchsorted(omega, new))
-    return np.insert(omega, pos, new)
-
-
-def death_state(omega: np.ndarray, index: int) -> np.ndarray:
-    """Remove the frequency at ``index``."""
-    return np.delete(omega, index)
-
-
 class _SinChain(rjmcmc.Chain):
     """State (omega, data part, design factor); delta2 and the rate beside it."""
 
@@ -310,10 +298,11 @@ class _SinChain(rjmcmc.Chain):
 
     def birth(self, log_q):
         # uniform new frequency; prior and proposal densities cancel
-        return self._jump(birth_state(self.state[0], self.rng.random() * math.pi), log_q, _LOG_PI)
+        omega, new = self.state[0], self.rng.random() * math.pi
+        return self._jump(np.insert(omega, np.searchsorted(omega, new), new), log_q, _LOG_PI)
 
     def death(self, index, log_q):
-        return self._jump(death_state(self.state[0], index), log_q, -_LOG_PI)
+        return self._jump(np.delete(self.state[0], index), log_q, -_LOG_PI)
 
     def _log_k_prior(self, k: int) -> float:
         """``_log_k_prior(k, rate, k_max)`` from the cached terms, same operations."""

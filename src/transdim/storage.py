@@ -20,6 +20,8 @@ from .muons import PECountSignal
 __all__ = [
     "StorageError",
     "parse_json_object",
+    "write_json",
+    "write_csv",
     "write_samples",
     "read_samples",
     "write_model",
@@ -41,6 +43,23 @@ class StorageError(ModelError):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def write_json(doc: dict, path) -> None:
+    """A JSON document: one-space indent, sorted keys, trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows, preamble: str = "") -> None:
+    """A CSV table: ``preamble`` text, the header row, then the rows as given
+    (reals formatted with ``_fmt`` by the caller)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(preamble)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def parse_json_object(text: str, what: str) -> dict:
@@ -147,9 +166,7 @@ def write_model(model: ApproxModel, path) -> None:
             for c in model.components
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def read_model(path) -> ApproxModel:
@@ -173,10 +190,7 @@ def read_model(path) -> ApproxModel:
 
 
 def write_report(report_dict: dict, path) -> None:
-    doc = {"format": "transdim-report", "version": FORMAT_VERSION, **report_dict}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json({"format": "transdim-report", "version": FORMAT_VERSION, **report_dict}, path)
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +200,8 @@ def write_report(report_dict: dict, path) -> None:
 
 def write_pe_signal(signal: PECountSignal, path) -> None:
     """Two-column CSV (bin index, count) with the geometry in a comment."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# t0={_fmt(signal.t0)} t_delta={_fmt(signal.t_delta)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "count"])
-        for i, c in enumerate(signal.counts):
-            writer.writerow([i, int(c)])
+    write_csv(path, ["bin", "count"], ([i, int(c)] for i, c in enumerate(signal.counts)),
+              preamble=f"# t0={_fmt(signal.t0)} t_delta={_fmt(signal.t_delta)}\n")
 
 
 def read_pe_signal(path) -> PECountSignal:

@@ -115,6 +115,15 @@ def test_auger_amplitude_prior_without_mass_below_a_max_is_data_error(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+def test_auger_amplitude_prior_with_zero_median_is_data_error(tmp_path):
+    # Gamma(1e-12) truncated to (0, 500] has a median that rounds to 0: every
+    # amplitude draw of a birth rounded to 0 and the chain never ended
+    rc = cli.main(["simulate-auger", "--seed", "1", "--muon", "100:60", "--amp-alpha", "1e-12",
+                   "--iterations", "300", "--burn-in", "10", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate / fit / report wiring
 # ---------------------------------------------------------------------------

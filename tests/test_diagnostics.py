@@ -314,6 +314,21 @@ def test_reconstruct_bma_single_frequency_matches_direct_formula():
     np.testing.assert_allclose(got, ref / 2.0, rtol=1e-12)
 
 
+def test_reconstruct_bma_skips_singular_draws():
+    # a frequency of exactly 0 has an all-zero sine column, so its design is
+    # singular; a samples file read back can hold one
+    sig = generate_synthetic_signal(2, [0.6, 1.7], [16.0, 9.0], [0.4, 1.0], 10.0, 32, seed=3)
+    raw = [np.array([[0.6]]), np.array([[0.61], [1.7]]), np.array([[1.69]]), np.array([[0.59], [1.71]])]
+    clean = reconstruct_bma(SampleSet.ingest(SIN_SPACE, raw), sig.y, 40.0)
+    for singular in (np.array([[0.0]]), np.array([[0.0], [1.7]])):
+        with_zero = raw[:2] + [singular] + raw[2:]
+        got = reconstruct_bma(SampleSet.ingest(SIN_SPACE, with_zero), sig.y, 40.0)
+        assert np.array_equal(got, clean)
+    only_singular = SampleSet.ingest(SIN_SPACE, [np.array([[0.0]]), np.array([[0.0], [1.2]])])
+    with pytest.raises(ModelError):
+        reconstruct_bma(only_singular, sig.y, 40.0)
+
+
 def test_high_snr_chain_reconstruction_is_accurate():
     sig = generate_synthetic_signal(1, [0.73], [20.0], [math.pi / 3], 20.0, 64, seed=2)
     cfg = SinChainConfig(

@@ -114,11 +114,22 @@ def test_initialize_fallback_uses_larger_samples(caplog):
     assert any("k >= 2" in rec.message for rec in caplog.records)
 
 
-def test_initialize_errors_when_fixed_L_unreachable():
+def test_unreachable_fixed_L_is_lowered_to_largest_k(caplog):
     space = ParamSpace(np.array([[0.0, 1.0]]))
-    ss = as_sampleset(space, [np.array([[0.5]])] * 5)
-    with pytest.raises(ModelError):
-        initialize_model(ss, FitConfig(init_rule="fixed", fixed_L=3))
+    rng = np.random.default_rng(1)
+    arrays = [np.sort(rng.random(k)).reshape(k, 1) for k in [1, 2] * 15]
+    ss = as_sampleset(space, arrays)
+    cfg = FitConfig(init_rule="fixed", fixed_L=3, iterations=5, averaging_window=2,
+                    prune_threshold=0)
+    with caplog.at_level(logging.WARNING, logger="transdim.fit"):
+        result = sem_fit(ss, cfg)
+    assert result.trace.models[0].L == 2
+    assert result.notes == ["fixed_L=3 lowered to 2, the largest k observed"]
+    assert any("k >= 3" in rec.message for rec in caplog.records)
+    # the k = L start: moments of the k = 2 samples
+    assert initialize_model(ss, cfg).mus()[:, 0].tolist() == pytest.approx(
+        np.median([a[:, 0] for a in arrays if a.shape[0] == 2], axis=0).tolist()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,11 @@ from transdim.model import (
     ParamSpace,
     SampleSet,
     VariableDimSample,
-    allocation_log_prior,
-    component_log_density,
+    _gaussian_log_densities,
     indicator_from_allocation,
     labeled_joint_log_density,
     model_intensity,
     sample_batch_from_model,
-    sample_from_model,
 )
 from transdim.oracle import enumerate_allocations, exact_allocation_log_posterior, unlabeled_log_density
 
@@ -54,13 +52,12 @@ def truncnorm_pdf(x, mu, sigma, lo, hi):
 
 def test_indicator_empty_sample():
     xi = indicator_from_allocation(AllocationVector(np.array([], dtype=int)), L=2)
-    assert xi.counts.tolist() == [0, 0, 0]
+    assert xi.tolist() == [0, 0, 0]
 
 
 def test_indicator_counts_labels():
     xi = indicator_from_allocation(AllocationVector(np.array([2, 3, 3])), L=2)
-    assert xi.counts.tolist() == [0, 1, 2]
-    assert xi.n_outliers == 2
+    assert xi.tolist() == [0, 1, 2]
 
 
 def test_indicator_rejects_repeated_gaussian_label():
@@ -74,7 +71,7 @@ def test_indicator_rejects_out_of_range_label():
 
 
 # ---------------------------------------------------------------------------
-# allocation_log_prior: hand-evaluated values
+# the allocation prior: the joint density less the point densities
 # ---------------------------------------------------------------------------
 
 
@@ -83,36 +80,38 @@ def gate_model():
     return make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [0.4], 0.2)
 
 
+def point_log_densities(x, z, model):
+    """log density of each point under its label: the truncated Gaussian of
+    a Gaussian label, the uniform density on the box for label L+1."""
+    dens = np.append(_gaussian_log_densities(x.components, model),
+                     np.full((x.k, 1), -model.space.log_volume), axis=1)
+    return dens[np.arange(x.k), z.labels - 1]
+
+
 def test_allocation_prior_empty(gate_model):
+    # with no points the joint density is the allocation prior itself
+    x = VariableDimSample(np.zeros((0, 1)))
     z = AllocationVector(np.array([], dtype=int))
-    assert allocation_log_prior(z, gate_model) == pytest.approx(
+    assert labeled_joint_log_density(x, z, gate_model) == pytest.approx(
         math.log(0.6) - 0.2, abs=1e-14
     )
 
 
 def test_allocation_prior_single_component(gate_model):
+    x = VariableDimSample(np.array([[0.45]]))
     z = AllocationVector(np.array([1]))
-    assert allocation_log_prior(z, gate_model) == pytest.approx(
-        math.log(0.4) - 0.2, abs=1e-14
+    got = labeled_joint_log_density(x, z, gate_model) - math.log(
+        truncnorm_pdf(0.45, 0.5, 0.1, 0.0, 1.0)
     )
+    assert got == pytest.approx(math.log(0.4) - 0.2, abs=1e-13)
 
 
 def test_allocation_prior_two_outliers(gate_model):
+    # the uniform density on the unit box is 1, so the joint is the prior
+    x = VariableDimSample(np.array([[0.1], [0.9]]))
     z = AllocationVector(np.array([2, 2]))
     expected = -0.2 + 2 * math.log(0.2) - math.log(2.0) + math.log(0.6)
-    assert allocation_log_prior(z, gate_model) == pytest.approx(expected, abs=1e-13)
-
-
-def test_allocation_prior_closed_full_gate_is_minus_inf():
-    model = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [1.0], 0.2)
-    z = AllocationVector(np.array([], dtype=int))
-    assert allocation_log_prior(z, model) == -np.inf
-
-
-def test_allocation_prior_outlier_with_zero_rate_is_minus_inf():
-    model = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [0.4], 0.0)
-    z = AllocationVector(np.array([2]))
-    assert allocation_log_prior(z, model) == -np.inf
+    assert labeled_joint_log_density(x, z, gate_model) == pytest.approx(expected, abs=1e-13)
 
 
 def test_allocation_prior_sums_to_one_over_valid_allocations():
@@ -121,34 +120,38 @@ def test_allocation_prior_sums_to_one_over_valid_allocations():
     )
     total = 0.0
     for k in range(0, 13):
+        x = VariableDimSample(np.linspace(0.05, 0.95, k).reshape(k, 1))
         for z in enumerate_allocations(k, model.L):
+            z = AllocationVector(np.array(z, dtype=int))
             total += math.exp(
-                allocation_log_prior(AllocationVector(np.array(z, dtype=int)), model)
+                labeled_joint_log_density(x, z, model) - point_log_densities(x, z, model).sum()
             )
     # truncated at k=12; remaining Poisson tail is below 1e-13
     assert total == pytest.approx(1.0, abs=1e-11)
 
 
 # ---------------------------------------------------------------------------
-# component_log_density
+# component densities: box-truncated Gaussians and the uniform outlier density
 # ---------------------------------------------------------------------------
 
 
 def test_component_density_outlier_label_unit_box():
-    model = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [0.4], 0.2)
-    assert component_log_density(np.array([0.3]), 2, model) == 0.0
+    assert ParamSpace(np.array([[0.0, 1.0]])).log_volume == 0.0
 
 
 def test_component_density_outlier_label_general_box():
     model = make_model([(0.0, math.pi)], [[0.5]], [[0.01]], [0.4], 0.2)
-    assert component_log_density(np.array([1.0]), 2, model) == pytest.approx(
-        -math.log(math.pi), abs=1e-15
-    )
+    assert -model.space.log_volume == pytest.approx(-math.log(math.pi), abs=1e-15)
+    # one outlier point: the joint density carries lam times the uniform density
+    x = VariableDimSample(np.array([[1.0]]))
+    z = AllocationVector(np.array([2]))
+    expected = -0.2 + math.log(0.2) - math.log(math.pi) + math.log(0.6)
+    assert labeled_joint_log_density(x, z, model) == pytest.approx(expected, abs=1e-14)
 
 
 def test_component_density_gaussian_center():
     model = make_model([(0.0, math.pi)], [[0.5]], [[0.01]], [0.4], 0.2)
-    got = component_log_density(np.array([0.5]), 1, model)
+    got = float(_gaussian_log_densities(np.array([0.5]), model)[0])
     mass = stats.norm.cdf(math.pi, 0.5, 0.1) - stats.norm.cdf(0.0, 0.5, 0.1)
     expected = math.log(stats.norm.pdf(0.5, 0.5, 0.1) / mass)
     assert got == pytest.approx(expected, rel=1e-12)
@@ -157,9 +160,10 @@ def test_component_density_gaussian_center():
 
 def test_component_density_matches_truncnorm_oracle():
     model = make_model([(0.0, 1.0)], [[0.8]], [[0.09]], [0.5], 0.1)
-    for x in [0.05, 0.3, 0.77, 0.99]:
-        got = component_log_density(np.array([x]), 1, model)
-        assert got == pytest.approx(
+    xs = np.array([0.05, 0.3, 0.77, 0.99])
+    got = _gaussian_log_densities(xs[:, None], model)[:, 0]
+    for x, g in zip(xs, got):
+        assert g == pytest.approx(
             math.log(truncnorm_pdf(x, 0.8, 0.3, 0.0, 1.0)), rel=1e-10
         )
 
@@ -167,7 +171,9 @@ def test_component_density_matches_truncnorm_oracle():
 def test_component_density_rejects_out_of_bounds():
     model = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [0.4], 0.2)
     with pytest.raises(ModelError):
-        component_log_density(np.array([1.5]), 1, model)
+        labeled_joint_log_density(
+            VariableDimSample(np.array([[1.5]])), AllocationVector(np.array([1])), model
+        )
 
 
 def test_component_density_normalizes_over_box():
@@ -177,7 +183,7 @@ def test_component_density_normalizes_over_box():
     for label in (1, 2):
         mass, err = integrate.quad(
             lambda t, lb=label: math.exp(
-                component_log_density(np.array([t]), lb, model)
+                _gaussian_log_densities(np.array([t]), model)[lb - 1]
             ),
             0.0,
             1.0,
@@ -190,7 +196,7 @@ def test_component_density_two_dimensional():
     model = make_model(
         [(0.0, 1.0), (-2.0, 2.0)], [[0.5, 0.0]], [[0.01, 0.25]], [0.9], 0.1
     )
-    got = component_log_density(np.array([0.4, 0.5]), 1, model)
+    got = float(_gaussian_log_densities(np.array([0.4, 0.5]), model)[0])
     expected = math.log(
         truncnorm_pdf(0.4, 0.5, 0.1, 0.0, 1.0) * truncnorm_pdf(0.5, 0.0, 0.5, -2.0, 2.0)
     )
@@ -209,6 +215,9 @@ def test_labeled_joint_empty_sample():
     assert labeled_joint_log_density(x, z, model) == pytest.approx(
         -0.1 + math.log(0.2), abs=1e-14
     )
+    # a gate with pi = 0 is closed with probability one
+    never = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [0.0], 0.2)
+    assert labeled_joint_log_density(x, z, never) == pytest.approx(-0.2, abs=1e-15)
 
 
 def test_labeled_joint_single_point():
@@ -232,6 +241,21 @@ def test_labeled_joint_mixed_allocation():
         + math.log(0.6)
     )
     assert labeled_joint_log_density(x, z, model) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "pi, lam, points, labels",
+    [
+        pytest.param(1.0, 0.2, [], [], id="closed-gate-with-pi-one"),
+        pytest.param(0.4, 0.0, [[0.3]], [2], id="outlier-with-zero-rate"),
+        pytest.param(0.0, 0.2, [[0.5]], [1], id="used-gate-with-pi-zero"),
+    ],
+)
+def test_labeled_joint_impossible_allocation_is_minus_inf(pi, lam, points, labels):
+    model = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [pi], lam)
+    x = VariableDimSample(np.array(points, dtype=float).reshape(-1, 1))
+    z = AllocationVector(np.array(labels, dtype=int))
+    assert labeled_joint_log_density(x, z, model) == -np.inf
 
 
 def test_labeled_joint_k_mismatch_errors():
@@ -382,16 +406,16 @@ def test_labeled_joint_exact_under_simultaneous_permutation(case, pyrandom):
 
 
 # ---------------------------------------------------------------------------
-# sample_from_model
+# sample_batch_from_model
 # ---------------------------------------------------------------------------
 
 
 def test_sampler_deterministic_gate():
     model = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [1.0], 0.0)
     for seed in range(5):
-        x, z = sample_from_model(model, seed)
-        assert x.k == 1
-        assert z.labels.tolist() == [1]
+        (x,), (z,) = sample_batch_from_model(model, 1, seed)
+        assert x.shape == (1, 1)
+        assert z.tolist() == [1]
 
 
 def test_sampler_pure_outlier_process():
@@ -432,14 +456,6 @@ def test_sampler_truncated_marginal_matches_truncnorm():
     assert stat.pvalue > 1e-4
 
 
-def test_sampler_single_draw_matches_batch_of_one():
-    model = make_model([(0.0, 1.0)], [[0.3], [0.7]], [[0.01], [0.04]], [0.9, 0.5], 0.2)
-    x, z = sample_from_model(model, 42)
-    pts, labs = sample_batch_from_model(model, 1, np.random.default_rng(42))
-    assert np.array_equal(x.components, pts[0])
-    assert np.array_equal(z.labels, labs[0])
-
-
 def test_sampler_labels_consistent_with_sample():
     model = make_model(
         [(0.0, 1.0)], [[0.2], [0.8]], [[0.0004], [0.0004]], [0.9, 0.9], 0.5
@@ -448,7 +464,7 @@ def test_sampler_labels_consistent_with_sample():
     for pts, lab in zip(samples, labels):
         assert pts.shape[0] == lab.shape[0]
         xi = indicator_from_allocation(AllocationVector(lab), 2)
-        assert np.all(xi.counts[:2] <= 1)
+        assert np.all(xi[:2] <= 1)
         near_1 = pts[lab == 1, 0]
         if near_1.size:
             assert np.all(np.abs(near_1 - 0.2) < 0.12)
@@ -536,15 +552,6 @@ def test_gaussian_component_validation():
     with pytest.raises(ModelError):
         GaussianComponent(np.array([0.5]), np.array([0.1]), 1.2)
     GaussianComponent(np.array([0.5]), np.array([0.1]), 1.0)  # pi = 1 allowed
-
-
-def test_allocation_prior_zero_gate_with_allocation_is_minus_inf():
-    model = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [0.0], 0.2)
-    z = AllocationVector(np.array([1]))
-    assert allocation_log_prior(z, model) == -np.inf
-    # the closed-gate branch is still a probability-one event
-    empty = AllocationVector(np.array([], dtype=int))
-    assert allocation_log_prior(empty, model) == pytest.approx(-0.2, abs=1e-15)
 
 
 def test_model_validation():

@@ -13,7 +13,6 @@ from transdim.model import ModelError
 from transdim import muons
 from transdim.muons import (
     AugerChainConfig,
-    MuonParams,
     PECountSignal,
     PulseShape,
     auger_param_space,
@@ -128,20 +127,11 @@ def test_expected_counts_permutation_invariant_bitwise():
         np.testing.assert_array_equal(expected_bin_counts(list(perm), sig), base)
 
 
-def test_expected_counts_accepts_muon_params():
-    sig = geometry(25)
-    pairs = [(60.0, 4.0), (200.0, 9.0)]
-    as_objects = [MuonParams(t, a) for t, a in pairs]
-    np.testing.assert_array_equal(
-        expected_bin_counts(as_objects, sig), expected_bin_counts(pairs, sig)
-    )
-
-
 def test_expected_counts_rejects_bad_amplitude():
     with pytest.raises(ModelError):
         expected_bin_counts([(50.0, 0.0)], geometry(10))
     with pytest.raises(ModelError):
-        MuonParams(50.0, -2.0)
+        expected_bin_counts(np.array([[50.0, -2.0]]), geometry(10))
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +241,8 @@ def test_chain_config_validation():
         {"burn_in": -1}, {"thinning": 0}, {"k_max": 2.5},
         # Gamma(1000, rate 0.1) puts no mass in (0, 500] at float precision
         {"amp_alpha": 1000.0},
+        # Gamma(1e-12) has mass there, but its median rounds to 0
+        {"amp_alpha": 1e-12},
     ):
         with pytest.raises(ModelError):
             AugerChainConfig(**bad)
@@ -381,6 +373,16 @@ def test_chain_finishes_when_prior_mass_below_a_max_is_tiny():
     sig = simulate_pe_signal([(150.0, 60.0), (400.0, 50.0)], 30, seed=3)
     cfg = AugerChainConfig(iterations=600, burn_in=100, amp_alpha=100.0, amp_beta=0.1,
                            a_max=500.0, rng_seed=3)
+    ss = rjmcmc_run_auger(sig, cfg)
+    amps = np.concatenate([s.components[:, 1] for s in ss.samples])
+    assert amps.size and np.all((amps > 0.0) & (amps <= cfg.a_max))
+
+
+def test_chain_finishes_when_prior_median_is_tiny():
+    # Gamma(1e-3, rate 0.1) truncated to (0, 500] has its median at 5.2e-301:
+    # most Gamma draws round to 0 and the birth redraws them
+    sig = simulate_pe_signal([(150.0, 60.0), (400.0, 50.0)], 30, seed=3)
+    cfg = AugerChainConfig(iterations=600, burn_in=100, amp_alpha=1e-3, rng_seed=3)
     ss = rjmcmc_run_auger(sig, cfg)
     amps = np.concatenate([s.components[:, 1] for s in ss.samples])
     assert amps.size and np.all((amps > 0.0) & (amps <= cfg.a_max))

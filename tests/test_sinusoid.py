@@ -20,11 +20,10 @@ from transdim.oracle import quadrature_log_marginal
 from transdim.sinusoid import (
     SinChainConfig,
     SinusoidSignal,
+    _SinChain,
     _data_part,
     _design_factor,
     amplitude_posterior_mean,
-    birth_state,
-    death_state,
     design_matrix,
     generate_synthetic_signal,
     log_marginal_likelihood,
@@ -62,6 +61,14 @@ def test_design_matrix_matches_direct_summation():
             direct[i, 2 * j] = math.cos(w * i)
             direct[i, 2 * j + 1] = math.sin(w * i)
     np.testing.assert_array_equal(D, direct)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_batched_design_matrix_equals_stacked_single_calls(k):
+    omega = np.random.default_rng(k).uniform(0.0, math.pi, size=(5, k))
+    D = design_matrix(omega, 32)
+    assert D.shape == (5, 32, 2 * k)
+    assert np.array_equal(D, np.stack([design_matrix(w, 32) for w in omega]))
 
 
 def test_design_products_near_half_identity():
@@ -261,15 +268,30 @@ def test_signal_validation():
 # ---------------------------------------------------------------------------
 
 
+class _FixedUniform:
+    """Stands in for the chain's generator: every uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
 def test_birth_then_death_restores_state_exactly():
+    sig = generate_synthetic_signal(1, [0.9], [4.0], [0.3], 7.0, 16, seed=5)
     omega = np.array([0.4, 1.1, 2.9])
-    grown = birth_state(omega, 0.75)
-    assert grown.tolist() == [0.4, 0.75, 1.1, 2.9]
-    back = death_state(grown, 1)
-    assert np.array_equal(back, omega)
-    # also at the edges
-    for w, pos in ((0.1, 0), (3.0, 3)):
-        assert np.array_equal(death_state(birth_state(omega, w), pos), omega)
+    chain = _SinChain(sig, SinChainConfig(init_omega=tuple(omega)))
+    start = chain.state
+    # new frequencies inside the state and at both edges
+    for u, pos in ((0.75 / math.pi, 1), (0.1 / math.pi, 0), (3.0 / math.pi, 3)):
+        chain.rng, chain.state = _FixedUniform(u), start
+        _, grown = chain.birth(0.0)
+        assert grown[0].tolist() == [*omega[:pos], u * math.pi, *omega[pos:]]
+        chain.state = grown
+        _, back = chain.death(pos, 0.0)
+        assert np.array_equal(back[0], omega)
+        assert back[1] == start[1]
 
 
 # ---------------------------------------------------------------------------
