@@ -213,8 +213,8 @@ def _cmd_report(args) -> int:
     )
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    storage.write_report(report.to_dict(), out / "report.json")
-    storage.write_csv(out / "pk.csv", ["k", "probability"], ([k, _fmt(p)] for k, p in enumerate(report.p_k)))
+    storage.write_report(report, out / "report.json")
+    storage.write_csv(out / "pk.csv", ["k", "probability"], ([k, _fmt(p)] for k, p in enumerate(report["p_k"])))
     heights, edges = diagnostics.bma_histogram_intensity(samples, bins=args.hist_bins, dim=args.dim)
     storage.write_csv(
         out / "histogram.csv", ["left", "right", "height"],
@@ -225,9 +225,9 @@ def _cmd_report(args) -> int:
         curve = diagnostics.intensity_curve(model, grid)
         storage.write_csv(out / "intensity.csv", ["theta", "intensity"],
                           ([_fmt(x), _fmt(v)] for x, v in zip(grid, curve)))
-    if report.residual_points is not None:
+    if "residuals" in report:
         storage.write_csv(out / "residuals.csv", [f"coord{j}" for j in range(samples.space.dim)],
-                          ([_fmt(v) for v in row] for row in report.residual_points))
+                          ([_fmt(v) for v in row] for row in report["residuals"]))
     if recon_columns is not None:
         storage.write_csv(out / "reconstruction.csv", ["y", "bma", "model"],
                           ([_fmt(v) for v in vals] for vals in zip(*recon_columns)))
@@ -417,6 +417,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
+        if args.seed is not None and args.seed < 0:  # every subcommand has --seed
+            raise ModelError(f"--seed must be a nonnegative integer, got {args.seed}")
         return args.func(args)
     except (ModelError, OSError, UnicodeDecodeError) as exc:
         # ModelError covers storage.StorageError: bad files and inconsistent inputs

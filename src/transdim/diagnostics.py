@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
@@ -24,7 +23,6 @@ from .model import (
 from .sinusoid import design_matrix
 
 __all__ = [
-    "SummaryReport",
     "approx_posterior_k",
     "expected_count_interval",
     "empirical_count_interval",
@@ -207,7 +205,8 @@ def intensity_curve(model: ApproxModel, grid: np.ndarray) -> np.ndarray:
 def _mean_reconstruction(
     freqs: list[np.ndarray], y: np.ndarray, delta2: float, chunk: int = 8192
 ) -> np.ndarray:
-    """Average of D(omega) a_hat(omega) over a list of frequency vectors."""
+    """Average of D(omega) a_hat(omega) over a list of frequency vectors,
+    skipping those with a singular design or a frequency outside (0, pi)."""
     n_total = len(freqs)
     if n_total == 0:
         raise ModelError("no draws to reconstruct from")
@@ -238,7 +237,9 @@ def _mean_reconstruction(
                     except np.linalg.LinAlgError:
                         pass
             recon = np.einsum("nij,nj->ni", D, ahat)
-            good = np.all(np.isfinite(recon), axis=1)
+            # a frequency at 0 or pi has a zero or rounding-size sine column
+            inside = np.all((W > 0.0) & (W < math.pi), axis=1)
+            good = inside & np.all(np.isfinite(recon), axis=1)
             acc += recon[good].sum(axis=0)
             used += int(good.sum())
             skipped += int((~good).sum())
@@ -306,72 +307,36 @@ def reconstruction_error_db(y_hat: np.ndarray, y_ref: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SummaryReport:
-    """Tabular summary of a fitted model against its sample set."""
-
-    mus: np.ndarray
-    sds: np.ndarray
-    pis: np.ndarray
-    lam: float
-    p_k: np.ndarray
-    intervals: list = field(default_factory=list)
-    residual_points: np.ndarray | None = None
-    residual_fraction: float | None = None
-    reconstruction_db: float | None = None
-
-    def __post_init__(self):
-        if abs(float(np.sum(self.p_k)) - 1.0) > 1e-9:
-            raise ModelError("p_k does not sum to one")
-
-    def to_dict(self) -> dict:
-        out = {
-            "components": [
-                {"mu": m.tolist(), "sd": s.tolist(), "pi": float(p)}
-                for m, s, p in zip(self.mus, self.sds, self.pis)
-            ],
-            "lambda": float(self.lam),
-            "p_k": self.p_k.tolist(),
-            "intervals": self.intervals,
-        }
-        if self.residual_points is not None:
-            out["residuals"] = self.residual_points.tolist()
-            out["residual_fraction"] = self.residual_fraction
-        if self.reconstruction_db is not None:
-            out["reconstruction_db"] = self.reconstruction_db
-        return out
-
-
 def summarize(
     model: ApproxModel,
     samples: SampleSet,
     allocations: list | None = None,
     intervals=(),
     reconstruction_db: float | None = None,
-) -> SummaryReport:
-    """Bundle the standard diagnostics for a fitted model."""
-    entries = []
-    for box in intervals:
-        entries.append(
+) -> dict:
+    """The report document: the fitted components, the law of k, expected
+    and empirical counts per interval, and, when given, the residual points
+    and the reconstruction error."""
+    doc = {
+        "components": [
+            {"mu": m.tolist(), "sd": s.tolist(), "pi": float(p)}
+            for m, s, p in zip(model.mus(), np.sqrt(model.sigma2s()), model.pis())
+        ],
+        "lambda": float(model.lam),
+        "p_k": approx_posterior_k(model).tolist(),
+        "intervals": [
             {
                 "bounds": np.atleast_2d(np.asarray(box, dtype=float)).tolist(),
                 "model": expected_count_interval(model, box),
                 "empirical": empirical_count_interval(samples, box),
             }
-        )
-    res_pts = None
-    res_frac = None
+            for box in intervals
+        ],
+    }
     if allocations is not None:
         res_pts, _ = residuals(samples, allocations, model.L)
-        res_frac = res_pts.shape[0] / len(samples)
-    return SummaryReport(
-        mus=model.mus(),
-        sds=np.sqrt(model.sigma2s()),
-        pis=model.pis(),
-        lam=model.lam,
-        p_k=approx_posterior_k(model),
-        intervals=entries,
-        residual_points=res_pts,
-        residual_fraction=res_frac,
-        reconstruction_db=reconstruction_db,
-    )
+        doc["residuals"] = res_pts.tolist()
+        doc["residual_fraction"] = res_pts.shape[0] / len(samples)
+    if reconstruction_db is not None:
+        doc["reconstruction_db"] = reconstruction_db
+    return doc

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,20 +73,30 @@ class FitConfig:
     sigma2_floor: float = 1e-10
 
     def __post_init__(self):
-        if self.iterations < 1 or self.imh_inner_steps < 1 or self.averaging_window < 1:
-            raise ModelError("iterations, imh_inner_steps, averaging_window must be positive")
+        # every comparison below is False for NaN, so NaN fails each check
+        counts = (self.iterations, self.imh_inner_steps, self.averaging_window)
+        if not all(isinstance(v, numbers.Integral) and v >= 1 for v in counts):
+            raise ModelError("iterations, imh_inner_steps, averaging_window must be integers >= 1")
         if self.averaging_window > self.iterations:
             raise ModelError("averaging_window must not exceed iterations")
-        if self.prune_threshold < 0:
-            raise ModelError("prune_threshold must be nonnegative")
-        if not (0.0 < self.percentile_for_L < 1.0):
-            raise ModelError("percentile_for_L must lie in (0, 1)")
+        if self.fixed_L is not None and not (isinstance(self.fixed_L, numbers.Integral)
+                                             and self.fixed_L >= 0):
+            raise ModelError(f"fixed_L must be an integer >= 0, got {self.fixed_L!r}")
+        for name, ok, need in (
+            ("prune_threshold", lambda v: v >= 0.0, ">= 0"),
+            ("init_pi", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+            ("threshold_for_L", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+            ("percentile_for_L", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+            ("init_lambda", lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+            ("sigma2_floor", lambda v: 0.0 < v < math.inf, "finite and > 0"),
+        ):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and ok(value)):
+                raise ModelError(f"{name} must be a real {need}, got {value!r}")
         if self.init_rule not in ("percentile", "threshold", "fixed"):
             raise ModelError(f"unknown init_rule {self.init_rule!r}")
         if self.init_rule == "fixed" and self.fixed_L is None:
             raise ModelError("init_rule 'fixed' requires fixed_L")
-        if self.sigma2_floor <= 0:
-            raise ModelError("sigma2_floor must be positive")
 
 
 @dataclass

@@ -65,10 +65,6 @@ class ParamSpace:
         return self.bounds[:, 1] - self.bounds[:, 0]
 
     @property
-    def volume(self) -> float:
-        return float(np.prod(self.widths))
-
-    @property
     def log_volume(self) -> float:
         return float(np.sum(np.log(self.widths)))
 

@@ -86,13 +86,16 @@ class MonteCarloConfig:
             raise ModelError(f"unknown signal keys: {sorted(unknown)}")
         self.signal = {**_PAPER_SIGNAL, **self.signal}
         self.fit = {"init_rule": "threshold", **self.fit}
-        # build both configs once, so that a bad key or value fails here
-        # rather than in every replicate
+        # build the signal (at a fixed seed of its own) and both configs once,
+        # so that a bad key or value fails here rather than in every replicate
+        sp = self.signal
         try:
+            generate_synthetic_signal(sp["k"], sp["omega"], sp["energies"], sp["phases"],
+                                      sp["snr_db"], sp["n"], seed=0)
             SinChainConfig(**self.chain)
             FitConfig(**self.fit)
-        except TypeError as exc:
-            raise ModelError(f"bad chain or fit settings ({exc})") from None
+        except (TypeError, ValueError) as exc:  # ModelError is a ValueError
+            raise ModelError(f"bad signal, chain or fit settings ({exc})") from None
 
 
 def run_replicate(config: MonteCarloConfig, replicate: int, rep_seed: int) -> dict:

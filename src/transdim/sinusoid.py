@@ -30,7 +30,6 @@ __all__ = [
     "design_matrix",
     "log_target_marginal",
     "log_marginal_likelihood",
-    "amplitude_posterior_mean",
     "generate_synthetic_signal",
     "rjmcmc_run",
 ]
@@ -48,7 +47,6 @@ class SinusoidSignal:
     """Observed series plus, for synthetic data, the generating truth."""
 
     y: np.ndarray
-    true_k: int | None = None
     true_omega: np.ndarray | None = None
     true_amplitudes: np.ndarray | None = None
     true_sigma2: float | None = None
@@ -118,41 +116,32 @@ def design_matrix(omega: np.ndarray, N: int) -> np.ndarray:
     return D
 
 
-def _design_factor(omega: np.ndarray, y: np.ndarray):
-    """Design products for sorted omega: (D, R, D'y, y'D(D'D)^-1 D'y), R the
-    upper Cholesky factor of D'D (LAPACK called directly, as cho_factor does).
-
-    Returns None when D'D is numerically singular (coincident frequencies or
-    frequencies at the boundary).
-    """
-    N = y.size
-    D = design_matrix(omega, N)
-    R, info = lapack.dpotrf(D.T @ D, clean=0)
-    if info > 0:
-        return None
-    Dty = D.T @ y
-    quad = float(Dty @ lapack.dpotrs(R, Dty)[0])
-    return D, R, Dty, quad
-
-
 def _data_part(omega: np.ndarray, y: np.ndarray, delta2: float):
     """(-k log(1+delta2) - N/2 log(y'P y), design factor) for sorted omega.
 
-    The factor is ``_design_factor(omega, y)``, or None for k = 0 or a
-    singular design; it does not depend on delta2, so the chain keeps it
-    with the state for the delta2 refresh.
+    The factor is (D, R, D'y, y'D(D'D)^-1 D'y), R the upper Cholesky factor
+    of D'D (LAPACK called directly, as cho_factor does); it does not depend
+    on delta2, so the chain keeps it with the state for the delta2 refresh.
+    It is None for k = 0, and the result is (-inf, None) for a frequency
+    outside (0, pi) or a numerically singular D'D (coincident frequencies).
     """
     N = y.size
     yty = float(y @ y)
     k = omega.size
     if k == 0:
         return -0.5 * N * math.log(yty), None
-    fac = _design_factor(omega, y)
-    if fac is None:
+    if omega[0] <= 0.0 or omega[-1] >= math.pi:
+        return -np.inf, None
+    D = design_matrix(omega, N)
+    R, info = lapack.dpotrf(D.T @ D, clean=0)
+    if info > 0:
         logger.debug("singular design for omega=%s", omega)
         return -np.inf, None
+    Dty = D.T @ y
+    quad = float(Dty @ lapack.dpotrs(R, Dty)[0])
+    fac = D, R, Dty, quad
     shrink = delta2 / (1.0 + delta2)
-    ypy = yty - shrink * fac[3]
+    ypy = yty - shrink * quad
     if ypy <= 0.0:
         return -np.inf, fac
     return -k * math.log1p(delta2) - 0.5 * N * math.log(ypy), fac
@@ -190,8 +179,6 @@ def log_target_marginal(
     omega = np.sort(np.asarray(omega, dtype=float).reshape(-1))
     if omega.size != k:
         raise ModelError(f"k={k} but {omega.size} frequencies given")
-    if k and (omega[0] <= 0.0 or omega[-1] >= math.pi):
-        return -np.inf
     y = np.asarray(y, dtype=float).reshape(-1)
     data, _ = _data_part(omega, y, delta2)
     return data + _log_k_prior(k, rate, k_max)
@@ -207,23 +194,6 @@ def log_marginal_likelihood(omega, y, delta2: float) -> float:
     N = y.size
     data, _ = _data_part(omega, y, delta2)
     return data + float(gammaln(0.5 * N)) - 0.5 * N * math.log(math.pi)
-
-
-def amplitude_posterior_mean(omega, y, delta2: float) -> np.ndarray:
-    """Posterior mean of the 2k stacked amplitudes given the frequencies.
-
-    Shrinks the least-squares solution by delta2/(1+delta2).
-    """
-    omega = np.asarray(omega, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if omega.size == 0:
-        return np.zeros(0)
-    fac = _design_factor(omega, y)
-    if fac is None:
-        raise ModelError("design matrix has numerically singular normal equations")
-    _, R, Dty, _ = fac
-    shrink = delta2 / (1.0 + delta2)
-    return shrink * lapack.dpotrs(R, Dty)[0]
 
 
 def generate_synthetic_signal(
@@ -255,10 +225,8 @@ def generate_synthetic_signal(
         sigma2 = float(clean @ clean) / (N * 10.0 ** (snr_db / 10.0))
         rng = np.random.default_rng(seed)
         y = clean + math.sqrt(sigma2) * rng.standard_normal(N)
-    return SinusoidSignal(
-        y, true_k=k, true_omega=omega, true_amplitudes=amp,
-        true_sigma2=sigma2, snr_db=snr_db,
-    )
+    return SinusoidSignal(y, true_omega=omega, true_amplitudes=amp, true_sigma2=sigma2,
+                          snr_db=snr_db)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ point is wiring, not inference quality.
 """
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -59,6 +60,27 @@ def test_unknown_subcommand_is_usage_error():
 
 def test_missing_required_seed_is_usage_error(tmp_path):
     assert cli.main(["simulate-sin", "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate-sin", "simulate-auger", "fit", "report", "montecarlo", "oracle"]
+)
+def test_negative_seed_is_data_error(sin_run, tmp_path, capsys, command):
+    out = str(tmp_path / "out")
+    rest = {
+        "simulate-sin": ["--out", out] + SIN_FAST,
+        "simulate-auger": ["--out", out, "--muon", "105:50", "--iterations", "300",
+                           "--burn-in", "100"],
+        "fit": ["--samples", str(sin_run / "draws.samples"), "--out", out],
+        "report": ["--model", str(sin_run / "model.json"),
+                   "--samples", str(sin_run / "draws.samples"), "--outdir", out,
+                   "--signal", str(sin_run / "signal.json"), "--draws", "100"],
+        "montecarlo": ["--out", out, "--replicates", "1", "--iterations", "300",
+                       "--burn-in", "100"],
+        "oracle": [],
+    }[command]
+    assert cli.main([command, "--seed", "-1"] + rest) == 2
+    assert "--seed must be a nonnegative integer" in capsys.readouterr().err
 
 
 def test_bad_samples_file_is_data_error(tmp_path):
@@ -185,6 +207,18 @@ def test_fit_fixed_l_rule(sin_run, tmp_path):
     assert read_model(tmp_path / "m.json").L == 5
 
 
+@pytest.mark.parametrize(
+    "flags", [["--init-rule", "fixed", "--fixed-l", "-1"], ["--threshold", "5"]]
+)
+def test_fit_bad_settings_are_data_errors(sin_run, tmp_path, flags):
+    rc = cli.main(
+        ["fit", "--samples", str(sin_run / "draws.samples"), "--seed", "2",
+         "--out", str(tmp_path / "m.json"), "--iterations", "4", "--window", "2"] + flags
+    )
+    assert rc == 2
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_report_outputs(sin_run, tmp_path):
     outdir = tmp_path / "rep"
     rc = cli.main(
@@ -213,6 +247,35 @@ def test_report_outputs(sin_run, tmp_path):
 
     assert (outdir / "intensity.csv").exists()
     assert (outdir / "reconstruction.csv").exists()
+
+
+# SHA-256 prefixes of the files that the report below writes; a change that
+# alters the report on purpose records them again and says so
+REPORT_DIGESTS = {
+    "report.json": "2f7e87cac60a9e71",
+    "pk.csv": "c68158ccff0b9a5b",
+    "histogram.csv": "a49b2002a036517e",
+    "intensity.csv": "bf5faaaaf8af03a0",
+    "residuals.csv": "3324192a4a51d802",
+}
+
+
+def test_report_files_match_recorded_digests(sin_run, tmp_path):
+    samples, model, alloc = sin_run / "draws.samples", tmp_path / "m.json", tmp_path / "alloc.txt"
+    rc = cli.main(
+        ["fit", "--samples", str(samples), "--seed", "4", "--out", str(model),
+         "--iterations", "20", "--window", "10", "--allocations-out", str(alloc)]
+    )
+    assert rc == 0
+    outdir = tmp_path / "rep"
+    rc = cli.main(
+        ["report", "--model", str(model), "--samples", str(samples), "--allocations", str(alloc),
+         "--interval", "0.6:0.7", "--outdir", str(outdir)]
+    )
+    assert rc == 0
+    got = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()[:16]
+           for name in REPORT_DIGESTS}
+    assert got == REPORT_DIGESTS
 
 
 def test_report_reconstruction_without_seed_is_data_error(sin_run, tmp_path):
@@ -443,6 +506,9 @@ def test_montecarlo_config_rejects_counts_below_one(field):
         ({}, ["--draws", "0"]),
         ({"chain": {"beta_rate": -1}}, []),
         ({"chain": {"init_omega": [4.0]}}, []),
+        ({"fit": {"iterations": 2.5, "averaging_window": 1}}, []),
+        ({"signal": {"n": 1}}, []),
+        ({"signal": {"k": 2}}, []),
     ],
 )
 def test_montecarlo_cli_bad_settings_are_data_errors(tmp_path, config, flags):

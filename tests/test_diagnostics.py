@@ -11,7 +11,6 @@ import pytest
 from scipy import stats
 
 from transdim.diagnostics import (
-    SummaryReport,
     approx_posterior_k,
     bma_histogram_intensity,
     empirical_count_interval,
@@ -314,17 +313,47 @@ def test_reconstruct_bma_single_frequency_matches_direct_formula():
     np.testing.assert_allclose(got, ref / 2.0, rtol=1e-12)
 
 
+def test_reconstruct_bma_one_draw_approaches_least_squares():
+    sig = generate_synthetic_signal(2, [0.7, 1.9], [9.0, 4.0], [0.1, 1.2], 10.0, 64, seed=9)
+    D = design_matrix(sig.true_omega, 64)
+    ols, *_ = np.linalg.lstsq(D, sig.y, rcond=None)
+    ss = SampleSet.ingest(SIN_SPACE, [sig.true_omega[:, None]])
+    np.testing.assert_allclose(reconstruct_bma(ss, sig.y, 1e8), D @ ols, rtol=1e-6)
+
+
+def test_reconstruct_bma_one_draw_is_zero_for_orthogonal_signal():
+    N = 32
+    D = design_matrix(np.array([0.8]), N)
+    r = np.random.default_rng(10).standard_normal(N)
+    y = r - D @ np.linalg.solve(D.T @ D, D.T @ r)
+    ss = SampleSet.ingest(SIN_SPACE, [np.array([[0.8]])])
+    np.testing.assert_allclose(reconstruct_bma(ss, y, 5.0), np.zeros(N), atol=1e-12)
+
+
+def test_reconstruct_bma_one_draw_shrinks_by_expected_factor():
+    sig = generate_synthetic_signal(1, [1.1], [4.0], [0.0], 20.0, 64, seed=12)
+    ss = SampleSet.ingest(SIN_SPACE, [sig.true_omega[:, None]])
+    d2 = 3.0
+    full = reconstruct_bma(ss, sig.y, 1e12)
+    np.testing.assert_allclose(reconstruct_bma(ss, sig.y, d2), d2 / (1 + d2) * full, rtol=1e-9)
+
+
 def test_reconstruct_bma_skips_singular_draws():
-    # a frequency of exactly 0 has an all-zero sine column, so its design is
-    # singular; a samples file read back can hold one
+    # a frequency of exactly 0 has an all-zero sine column, one of exactly pi
+    # a sine column of rounding size, and coincident frequencies repeat a
+    # column; a samples file read back can hold any of them
     sig = generate_synthetic_signal(2, [0.6, 1.7], [16.0, 9.0], [0.4, 1.0], 10.0, 32, seed=3)
     raw = [np.array([[0.6]]), np.array([[0.61], [1.7]]), np.array([[1.69]]), np.array([[0.59], [1.71]])]
     clean = reconstruct_bma(SampleSet.ingest(SIN_SPACE, raw), sig.y, 40.0)
-    for singular in (np.array([[0.0]]), np.array([[0.0], [1.7]])):
+    for singular in (np.array([[0.0]]), np.array([[0.0], [1.7]]), np.array([[math.pi]]),
+                     np.array([[0.6], [math.pi]]), np.array([[0.6], [0.6]]),
+                     np.array([[0.6], [1.7], [1.7]])):
         with_zero = raw[:2] + [singular] + raw[2:]
         got = reconstruct_bma(SampleSet.ingest(SIN_SPACE, with_zero), sig.y, 40.0)
         assert np.array_equal(got, clean)
-    only_singular = SampleSet.ingest(SIN_SPACE, [np.array([[0.0]]), np.array([[0.0], [1.2]])])
+    only_singular = SampleSet.ingest(
+        SIN_SPACE, [np.array([[0.0]]), np.array([[0.0], [1.2]]), np.array([[math.pi]])]
+    )
     with pytest.raises(ModelError):
         reconstruct_bma(only_singular, sig.y, 40.0)
 
@@ -397,26 +426,16 @@ def test_summarize_round_trip():
     draws, labels = sample_batch_from_model(model, 2_000, np.random.default_rng(19))
     ss = SampleSet.ingest(UNIT, draws)
     allocs = [AllocationVector(lab) for lab in labels]
-    report = summarize(
+    doc = summarize(
         model, ss, allocations=allocs, intervals=([[0.2, 0.5]],), reconstruction_db=-12.5
     )
-    assert report.p_k.sum() == pytest.approx(1.0, abs=1e-12)
-    assert report.lam == 0.3
-    entry = report.intervals[0]
+    assert sum(doc["p_k"]) == pytest.approx(1.0, abs=1e-12)
+    assert doc["lambda"] == 0.3
+    entry = doc["intervals"][0]
     assert set(entry) == {"bounds", "model", "empirical"}
     assert abs(entry["model"] - entry["empirical"]) < 0.05
     true_outliers = sum(int(np.sum(lab == 3)) for lab in labels)
-    assert report.residual_fraction == pytest.approx(true_outliers / 2000, abs=1e-15)
-    payload = json.dumps(report.to_dict())
-    assert "reconstruction_db" in payload
-
-
-def test_report_validates_probability_vector():
-    with pytest.raises(ModelError):
-        SummaryReport(
-            mus=np.zeros((0, 1)),
-            sds=np.zeros((0, 1)),
-            pis=np.zeros(0),
-            lam=0.0,
-            p_k=np.array([0.5, 0.4]),
-        )
+    assert doc["residual_fraction"] == pytest.approx(true_outliers / 2000, abs=1e-15)
+    assert len(doc["residuals"]) == true_outliers
+    assert json.loads(json.dumps(doc)) == doc  # plain JSON types throughout
+    assert doc["reconstruction_db"] == -12.5

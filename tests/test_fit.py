@@ -570,3 +570,29 @@ def test_fit_config_validation():
         FitConfig(prune_threshold=-1)
     with pytest.raises(ModelError):
         FitConfig(init_rule="nope")
+    FitConfig(prune_threshold=2.5, init_pi=1.0, threshold_for_L=0.0, init_lambda=0.0)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"iterations": 2.5, "averaging_window": 1},
+        {"imh_inner_steps": 1.5},
+        {"averaging_window": 2.5},
+        {"init_rule": "fixed", "fixed_L": -1},
+        {"init_rule": "fixed", "fixed_L": 2.5},
+        {"prune_threshold": math.nan},
+        {"init_pi": 1.5},
+        {"init_pi": math.nan},
+        {"threshold_for_L": 5.0},
+        {"threshold_for_L": -0.1},
+        {"init_lambda": -1.0},
+        {"init_lambda": math.inf},
+        {"init_lambda": math.nan},
+        {"sigma2_floor": math.inf},
+        {"sigma2_floor": math.nan},
+    ],
+)
+def test_fit_config_rejects_settings_that_crash_or_mean_nothing(settings):
+    with pytest.raises(ModelError):
+        FitConfig(**settings)

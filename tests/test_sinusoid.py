@@ -1,9 +1,9 @@
-"""Sinusoid sampler: design matrix, marginal target, amplitude posterior,
+"""Sinusoid sampler: design matrix, marginal target, the design factor,
 synthetic signals, and the trans-dimensional chain.
 
 Oracles: direct trigonometric summation for the design products, 3-d
 quadrature over (amplitudes, noise variance) for the marginal likelihood,
-least squares for the amplitude mean, and fine-grid evaluation of the
+dense solves for the design factor, and fine-grid evaluation of the
 target for chain-level distribution checks.
 """
 
@@ -22,8 +22,6 @@ from transdim.sinusoid import (
     SinusoidSignal,
     _SinChain,
     _data_part,
-    _design_factor,
-    amplitude_posterior_mean,
     design_matrix,
     generate_synthetic_signal,
     log_marginal_likelihood,
@@ -141,58 +139,22 @@ def test_marginal_likelihood_empty_model_constant():
 
 
 # ---------------------------------------------------------------------------
-# amplitude posterior mean
-# ---------------------------------------------------------------------------
-
-
-def test_amplitude_mean_approaches_least_squares():
-    sig = generate_synthetic_signal(2, [0.7, 1.9], [9.0, 4.0], [0.1, 1.2], 10.0, 64, seed=9)
-    D = design_matrix(sig.true_omega, 64)
-    ols, *_ = np.linalg.lstsq(D, sig.y, rcond=None)
-    got = amplitude_posterior_mean(sig.true_omega, sig.y, 1e8)
-    np.testing.assert_allclose(got, ols, rtol=1e-6)
-
-
-def test_amplitude_mean_zero_for_orthogonal_signal():
-    omega = np.array([0.8])
-    N = 32
-    D = design_matrix(omega, N)
-    rng = np.random.default_rng(10)
-    r = rng.standard_normal(N)
-    y = r - D @ np.linalg.solve(D.T @ D, D.T @ r)
-    got = amplitude_posterior_mean(omega, y, 5.0)
-    np.testing.assert_allclose(got, np.zeros(2), atol=1e-12)
-
-
-def test_amplitude_mean_empty():
-    assert amplitude_posterior_mean([], np.ones(8), 5.0).shape == (0,)
-
-
-def test_amplitude_mean_shrinks_by_expected_factor():
-    sig = generate_synthetic_signal(1, [1.1], [4.0], [0.0], 20.0, 64, seed=12)
-    d2 = 3.0
-    full = amplitude_posterior_mean(sig.true_omega, sig.y, 1e12)
-    got = amplitude_posterior_mean(sig.true_omega, sig.y, d2)
-    np.testing.assert_allclose(got, d2 / (1 + d2) * full, rtol=1e-9)
-
-
-# ---------------------------------------------------------------------------
 # the design factor's direct LAPACK calls
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "omega", [[0.7, 0.7], [0.4, 1.9, 1.9], [1.2, 1.2, 2.0], [0.0], [0.0, 1.3]]
+    "omega",
+    [[0.7, 0.7], [0.4, 1.9, 1.9], [1.2, 1.2, 2.0], [0.0], [0.0, 1.3], [math.pi], [1.3, math.pi]],
 )
 def test_singular_design_is_minus_inf_and_has_no_amplitude_mean(omega):
     # coincident frequencies repeat a column; a frequency at 0 gives an
-    # all-zero sine column
+    # all-zero sine column, one at pi a sine column of rounding size
     y = np.random.default_rng(3).standard_normal(16)
     data, fac = _data_part(np.array(omega), y, 5.0)
     assert data == -np.inf
     assert fac is None
-    with pytest.raises(ModelError):
-        amplitude_posterior_mean(omega, y, 5.0)
+    assert log_marginal_likelihood(omega, y, 5.0) == -np.inf
 
 
 @pytest.mark.parametrize(
@@ -204,14 +166,15 @@ def test_design_factor_matches_dense_solves(omega):
     D = design_matrix(omega, 64)
     G, Dty = D.T @ D, D.T @ y
     ref = np.linalg.solve(G, Dty)
-    D_f, R, Dty_f, quad = _design_factor(omega, y)
+    D_f, R, Dty_f, quad = _data_part(omega, y, 5.0)[1]
     np.testing.assert_array_equal(D_f, D)
     np.testing.assert_array_equal(Dty_f, Dty)
+    # the delta2 refresh's amplitude mean
+    np.testing.assert_allclose(5.0 / 6.0 * lapack.dpotrs(R, Dty_f)[0], 5.0 / 6.0 * ref,
+                               rtol=1e-12)
     R = np.triu(R)  # the lower triangle is not part of the factor
     np.testing.assert_allclose(R.T @ R, G, rtol=1e-12, atol=1e-12 * np.abs(G).max())
     assert quad == pytest.approx(float(Dty @ ref), rel=1e-12)
-    np.testing.assert_allclose(amplitude_posterior_mean(omega, y, 5.0), 5.0 / 6.0 * ref,
-                               rtol=1e-12)
     # the delta2 refresh's triangular solve
     z = np.random.default_rng(1).standard_normal(omega.size * 2)
     np.testing.assert_allclose(lapack.dtrtrs(R, z)[0], np.linalg.solve(R, z), rtol=1e-12)
