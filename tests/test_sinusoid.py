@@ -157,6 +157,16 @@ def test_singular_design_is_minus_inf_and_has_no_amplitude_mean(omega):
     assert log_marginal_likelihood(omega, y, 5.0) == -np.inf
 
 
+def test_amplitude_mean_empty():
+    # k = 0 has no amplitudes to solve for: no design factor, and the data
+    # part is the empty model's -N/2 log(y'y) for any delta2
+    y = np.ones(8)
+    for d2 in (0.5, 5.0, 1e8):
+        data, fac = _data_part(np.empty(0), y, d2)
+        assert fac is None
+        assert data == pytest.approx(-0.5 * 8 * math.log(8.0), rel=1e-15)
+
+
 @pytest.mark.parametrize(
     "omega", [[0.3], [0.63, 0.68, 0.73], [0.5, 1.5, 2.5, 3.0], [0.1, 0.2, 0.9, 1.7, 2.2, 2.9]]
 )
