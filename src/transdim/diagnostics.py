@@ -5,7 +5,6 @@ overlays, and signal reconstruction with its error metric.
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
@@ -14,6 +13,7 @@ from scipy.special import gammaln
 from .model import (
     ApproxModel,
     ModelError,
+    ParamSpace,
     SampleSet,
     _component_log_mass,
     _log_interval_mass,
@@ -35,9 +35,8 @@ __all__ = [
     "summarize",
 ]
 
-logger = logging.getLogger(__name__)
-
 DB_FLOOR = -300.0
+_CHUNK = 8192  # draws per batched reconstruction solve; bounds the memory held
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +81,13 @@ def approx_posterior_k(model: ApproxModel, k_cap: int | None = None) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _validate_interval(model: ApproxModel, interval) -> np.ndarray:
+def _validate_interval(space: ParamSpace, interval) -> np.ndarray:
     box = np.atleast_2d(np.asarray(interval, dtype=float))
-    if box.shape != (model.space.dim, 2):
-        raise ModelError(f"interval must have shape ({model.space.dim}, 2)")
+    if box.shape != (space.dim, 2):
+        raise ModelError(f"interval must have shape ({space.dim}, 2)")
     if np.any(box[:, 0] > box[:, 1]):
         raise ModelError("interval lower bounds exceed upper bounds")
-    lo, hi = model.space.bounds[:, 0], model.space.bounds[:, 1]
+    lo, hi = space.bounds[:, 0], space.bounds[:, 1]
     if np.any(box[:, 0] < lo) or np.any(box[:, 1] > hi):
         raise ModelError("interval reaches outside the parameter box")
     return box
@@ -100,7 +99,7 @@ def expected_count_interval(model: ApproxModel, interval) -> float:
     Sums each gate probability times the truncated-Gaussian mass of the
     box, plus the share of the outlier rate proportional to volume.
     """
-    box = _validate_interval(model, interval)
+    box = _validate_interval(model.space, interval)
     widths = box[:, 1] - box[:, 0]
     total = model.lam * float(np.prod(widths / model.space.widths))
     if model.L:
@@ -115,9 +114,7 @@ def expected_count_interval(model: ApproxModel, interval) -> float:
 
 def empirical_count_interval(samples: SampleSet, interval) -> float:
     """Average over samples of the number of components inside the box."""
-    box = np.atleast_2d(np.asarray(interval, dtype=float))
-    if box.shape != (samples.space.dim, 2):
-        raise ModelError(f"interval must have shape ({samples.space.dim}, 2)")
+    box = _validate_interval(samples.space, interval)
     if len(samples) == 0:
         raise ModelError("empty sample set")
     lo, hi = box[:, 0], box[:, 1]
@@ -164,10 +161,7 @@ def residuals(
 
 
 def bma_histogram_intensity(
-    samples: SampleSet,
-    bins=50,
-    dim: int = 0,
-    value_range: tuple[float, float] | None = None,
+    samples: SampleSet, bins=50, dim: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Histogram of all components pooled across samples, scaled so the
     bars integrate to the mean number of components per sample.
@@ -180,9 +174,7 @@ def bma_histogram_intensity(
         raise ModelError(f"dim {dim} out of range")
     pooled = [s.components[:, dim] for s in samples.samples if s.k]
     values = np.concatenate(pooled) if pooled else np.zeros(0)
-    if value_range is None:
-        value_range = tuple(samples.space.bounds[dim])
-    counts, edges = np.histogram(values, bins=bins, range=value_range)
+    counts, edges = np.histogram(values, bins=bins, range=tuple(samples.space.bounds[dim]))
     heights = counts / (len(samples) * np.diff(edges))
     return heights, edges
 
@@ -202,51 +194,44 @@ def intensity_curve(model: ApproxModel, grid: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _mean_reconstruction(
-    freqs: list[np.ndarray], y: np.ndarray, delta2: float, chunk: int = 8192
-) -> np.ndarray:
+def _mean_reconstruction(freqs: list[np.ndarray], y: np.ndarray, delta2: float) -> np.ndarray:
     """Average of D(omega) a_hat(omega) over a list of frequency vectors,
     skipping those with a singular design or a frequency outside (0, pi)."""
-    n_total = len(freqs)
-    if n_total == 0:
+    if not 0.0 < delta2 < math.inf:
+        raise ModelError(f"delta2 must be finite and positive, got {delta2!r}")
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ModelError("the signal must be finite")
+    if not freqs:
         raise ModelError("no draws to reconstruct from")
     N = y.size
     shrink = delta2 / (1.0 + delta2)
     ks = np.array([w.size for w in freqs])
     acc = np.zeros(N)
     used = 0
-    skipped = 0
     for k in sorted(set(ks.tolist())):
         idx = np.flatnonzero(ks == k)
         if k == 0:
             used += idx.size  # the empty model reconstructs the zero signal
             continue
         stacked = np.stack([freqs[i] for i in idx])
-        for start in range(0, stacked.shape[0], chunk):
-            W = stacked[start : start + chunk]
+        for start in range(0, stacked.shape[0], _CHUNK):
+            W = stacked[start : start + _CHUNK]
+            # a frequency at 0 or pi has a zero or rounding-size sine column
+            W = W[np.all((W > 0.0) & (W < math.pi), axis=1)]
             D = design_matrix(W, N)
             G = np.einsum("nij,nik->njk", D, D)
             Dty = np.einsum("nij,i->nj", D, y)
-            try:
-                ahat = shrink * np.linalg.solve(G, Dty[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                ahat = np.full((W.shape[0], 2 * k), np.nan)
-                for r in range(W.shape[0]):
-                    try:
-                        ahat[r] = shrink * np.linalg.solve(G[r], Dty[r])
-                    except np.linalg.LinAlgError:
-                        pass
+            # a zero pivot in the LU of D'D, where np.linalg.solve would raise
+            singular = np.linalg.slogdet(G)[0] == 0.0
+            G[singular] = np.eye(2 * k)
+            ahat = shrink * np.linalg.solve(G, Dty[:, :, None])[:, :, 0]
+            ahat[singular] = 0.0
             recon = np.einsum("nij,nj->ni", D, ahat)
-            # a frequency at 0 or pi has a zero or rounding-size sine column
-            inside = np.all((W > 0.0) & (W < math.pi), axis=1)
-            good = inside & np.all(np.isfinite(recon), axis=1)
-            acc += recon[good].sum(axis=0)
-            used += int(good.sum())
-            skipped += int((~good).sum())
+            acc += recon.sum(axis=0)
+            used += W.shape[0] - int(singular.sum())
     if used == 0:
         raise ModelError("every draw had a singular design")
-    if skipped:
-        logger.debug("reconstruction skipped %d singular draws", skipped)
     return acc / used
 
 
@@ -256,33 +241,24 @@ def reconstruct_bma(samples: SampleSet, y: np.ndarray, delta2: float) -> np.ndar
         raise ModelError("reconstruction needs 1-d frequency samples")
     if len(samples) == 0:
         raise ModelError("empty sample set")
-    y = np.asarray(y, dtype=float)
     return _mean_reconstruction([s.components[:, 0] for s in samples.samples], y, delta2)
 
 
 def reconstruct_from_model(
-    model: ApproxModel,
-    y: np.ndarray,
-    delta2: float,
-    size: int,
-    rng,
-    include_outliers: bool = True,
+    model: ApproxModel, y: np.ndarray, delta2: float, size: int, rng
 ) -> np.ndarray:
     """Noiseless signal estimate from draws of the fitted model.
 
-    Frequencies are generated from the gated components (and, unless
-    disabled, the outlier process); amplitudes come from their posterior
-    mean given the observed signal.
+    Frequencies are generated from the gated components and the outlier
+    process; amplitudes come from their posterior mean given the observed
+    signal.  To leave the outliers out, pass the model with a zero rate,
+    ``ApproxModel(model.space, model.components, 0.0)``.
     """
     if model.space.dim != 1:
         raise ModelError("reconstruction needs a 1-d model")
     if size < 1:
         raise ModelError("need at least one draw")
-    y = np.asarray(y, dtype=float)
-    source = model
-    if not include_outliers:
-        source = ApproxModel(model.space, list(model.components), 0.0)
-    draws, _ = sample_batch_from_model(source, size, rng)
+    draws, _ = sample_batch_from_model(model, size, rng)
     return _mean_reconstruction([a[:, 0] for a in draws], y, delta2)
 
 

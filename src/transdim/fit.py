@@ -77,6 +77,8 @@ class FitConfig:
         counts = (self.iterations, self.imh_inner_steps, self.averaging_window)
         if not all(isinstance(v, numbers.Integral) and v >= 1 for v in counts):
             raise ModelError("iterations, imh_inner_steps, averaging_window must be integers >= 1")
+        if not (isinstance(self.rng_seed, numbers.Integral) and self.rng_seed >= 0):
+            raise ModelError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
         if self.averaging_window > self.iterations:
             raise ModelError("averaging_window must not exceed iterations")
         if self.fixed_L is not None and not (isinstance(self.fixed_L, numbers.Integral)

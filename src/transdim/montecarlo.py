@@ -79,6 +79,8 @@ class MonteCarloConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise ModelError(f"{name} must be an integer of at least 1")
+        if not (isinstance(self.master_seed, numbers.Integral) and self.master_seed >= 0):
+            raise ModelError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
         if not all(isinstance(doc, dict) for doc in (self.signal, self.chain, self.fit)):
             raise ModelError("signal, chain and fit settings must be mappings")
         unknown = set(self.signal) - set(_PAPER_SIGNAL)

@@ -36,8 +36,8 @@ def reflect(x: float, lo: float, hi: float) -> float:
 
 
 def check_chain_config(config, *positive: str) -> None:
-    """Raise ModelError for a bad shared chain setting, or for any field
-    named in ``positive`` that is not finite and > 0."""
+    """Raise ModelError for a bad shared chain setting (the seed included),
+    or for any field named in ``positive`` that is not finite and > 0."""
     for name in ("iterations", "burn_in", "thinning", "k_max"):
         if not isinstance(getattr(config, name), numbers.Integral):
             raise ModelError(f"{name} must be an integer, got {getattr(config, name)!r}")
@@ -45,6 +45,9 @@ def check_chain_config(config, *positive: str) -> None:
         raise ModelError("burn_in must satisfy 0 <= burn_in < iterations")
     if config.thinning < 1 or config.k_max < 1:
         raise ModelError("thinning and k_max must be at least 1")
+    seed = config.rng_seed
+    if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ModelError(f"rng_seed must be None or an integer >= 0, got {seed!r}")
     probs = (config.birth_prob, config.death_prob, config.update_prob)
     if not (all(p >= 0.0 for p in probs) and math.isclose(sum(probs), 1.0)):
         raise ModelError("move probabilities must be nonnegative and sum to 1")

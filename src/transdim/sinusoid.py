@@ -119,11 +119,12 @@ def design_matrix(omega: np.ndarray, N: int) -> np.ndarray:
 def _data_part(omega: np.ndarray, y: np.ndarray, delta2: float):
     """(-k log(1+delta2) - N/2 log(y'P y), design factor) for sorted omega.
 
-    The factor is (D, R, D'y, y'D(D'D)^-1 D'y), R the upper Cholesky factor
-    of D'D (LAPACK called directly, as cho_factor does); it does not depend
-    on delta2, so the chain keeps it with the state for the delta2 refresh.
-    It is None for k = 0, and the result is (-inf, None) for a frequency
-    outside (0, pi) or a numerically singular D'D (coincident frequencies).
+    The factor is (D, R, ahat, D'y ahat), R the upper Cholesky factor of D'D
+    (LAPACK called directly, as cho_factor does) and ahat = (D'D)^-1 D'y the
+    least-squares amplitudes; it does not depend on delta2, so the chain
+    keeps it with the state for the delta2 refresh.  It is None for k = 0,
+    and the result is (-inf, None) for a frequency outside (0, pi) or a
+    numerically singular D'D (coincident frequencies).
     """
     N = y.size
     yty = float(y @ y)
@@ -138,8 +139,9 @@ def _data_part(omega: np.ndarray, y: np.ndarray, delta2: float):
         logger.debug("singular design for omega=%s", omega)
         return -np.inf, None
     Dty = D.T @ y
-    quad = float(Dty @ lapack.dpotrs(R, Dty)[0])
-    fac = D, R, Dty, quad
+    ahat = lapack.dpotrs(R, Dty)[0]
+    quad = float(Dty @ ahat)
+    fac = D, R, ahat, quad
     shrink = delta2 / (1.0 + delta2)
     ypy = yty - shrink * quad
     if ypy <= 0.0:
@@ -307,8 +309,8 @@ class _SinChain(rjmcmc.Chain):
             sigma2 = 0.5 * (yty - shrink * quad) / rng.gamma(0.5 * N)
             energy = 0.0
             if k:
-                D, R, Dty, _ = fac
-                mean = shrink * lapack.dpotrs(R, Dty)[0]
+                D, R, ahat, _ = fac
+                mean = shrink * ahat
                 z = rng.standard_normal(2 * k)
                 dev = lapack.dtrtrs(R, z)[0]
                 Da = D @ (mean + math.sqrt(sigma2 * shrink) * dev)

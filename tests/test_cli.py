@@ -83,6 +83,35 @@ def test_negative_seed_is_data_error(sin_run, tmp_path, capsys, command):
     assert "--seed must be a nonnegative integer" in capsys.readouterr().err
 
 
+def _montecarlo_config(rng_seed):
+    return montecarlo.MonteCarloConfig(master_seed=rng_seed, replicates=1)
+
+
+@pytest.mark.parametrize("build, seed", [
+    (FitConfig, -1), (SinChainConfig, -1), (AugerChainConfig, -1), (_montecarlo_config, -1),
+    (SinChainConfig, 1.5), (FitConfig, "3"), (FitConfig, None),
+], ids=["fit-negative", "sin-negative", "auger-negative", "montecarlo-negative",
+        "sin-float", "fit-string", "fit-none"])
+def test_library_configs_reject_seeds_numpy_refuses(build, seed):
+    with pytest.raises(ModelError, match="seed"):
+        build(rng_seed=seed)
+
+
+@pytest.mark.parametrize("delta2", ["NaN", "Infinity", "-1", "-0.5", "0"])
+def test_report_signal_with_bad_mean_delta2_is_data_error(sin_run, tmp_path, capsys, delta2):
+    # a samples file read back can carry any number as its mean delta2
+    lines = (sin_run / "draws.samples").read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["provenance"]["extras"]["mean_delta2"] = float(delta2)
+    samples = tmp_path / "bad.samples"
+    samples.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    rc = cli.main(["report", "--model", str(sin_run / "model.json"), "--samples", str(samples),
+                   "--outdir", str(tmp_path / "out"), "--signal", str(sin_run / "signal.json"),
+                   "--draws", "100", "--seed", "1"])
+    assert rc == 2
+    assert "delta2" in capsys.readouterr().err
+
+
 def test_bad_samples_file_is_data_error(tmp_path):
     bad = tmp_path / "bad.samples"
     bad.write_text("definitely not a header\n")

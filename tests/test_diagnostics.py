@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from transdim import diagnostics
 from transdim.diagnostics import (
     approx_posterior_k,
     bma_histogram_intensity,
@@ -155,6 +156,17 @@ def test_empirical_count_validation():
     ss = SampleSet(UNIT, [])
     with pytest.raises(ModelError):
         empirical_count_interval(ss, [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("box", [[[0.5, 0.2]], [[-1.0, 2.0]], [[0.2, 1.5]]])
+def test_both_interval_counts_reject_reversed_or_outside_intervals(box):
+    # reversed bounds, and bounds reaching outside the unit box
+    model = make_model([0.5], [0.01], [0.6], 0.3)
+    ss = build_set([[0.3], [0.4, 0.9]])
+    with pytest.raises(ModelError):
+        expected_count_interval(model, box)
+    with pytest.raises(ModelError):
+        empirical_count_interval(ss, box)
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +401,56 @@ def test_reconstruct_from_model_is_stable_across_seeds():
     assert rms < 0.01 * scale
 
 
-def test_reconstruct_outlier_flag_matches_zeroed_rate():
+def test_reconstruction_matches_per_draw_solves_across_chunks(monkeypatch):
+    # k from 0 to 4 in random order; among them draws at 0 and at pi and
+    # coincident frequencies, in the middle of their k-groups
+    rng = np.random.default_rng(21)
+    N = 32
+    y = rng.standard_normal(N)
+    grid = np.linspace(0.2, 2.9, 10)  # 0.3 apart, beyond the 2 pi / N resolution
+    raw = [np.sort(rng.choice(grid, size=int(k), replace=False))
+           for k in rng.integers(0, 5, size=60)]
+    singular = [np.array([0.0]), np.array([0.9, 0.9]), np.array([0.4, math.pi]),
+                np.array([0.2, 1.3, 1.3]), np.array([0.0, 0.5, 1.0, 2.0])]
+    for j, w in zip((7, 19, 30, 41, 52), singular):
+        raw.insert(j, w)
+    ss = SampleSet.ingest(SIN_SPACE, [w[:, None] for w in raw])
+    shrink = 7.0 / 8.0
+    ref, used = np.zeros(N), 0
+    for w in raw:
+        if any(w is bad for bad in singular):
+            continue
+        used += 1
+        if w.size:
+            D = design_matrix(w, N)
+            ref += D @ (shrink * np.linalg.solve(D.T @ D, D.T @ y))
+    got = reconstruct_bma(ss, y, 7.0)
+    np.testing.assert_allclose(got, ref / used, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    # three draws per batched solve: every k-group crosses chunk edges; the
+    # chunk sums are added in turn, so only the rounding of the sum may move
+    monkeypatch.setattr(diagnostics, "_CHUNK", 3)
+    chunked = reconstruct_bma(ss, y, 7.0)
+    np.testing.assert_allclose(chunked, got, rtol=1e-13, atol=1e-14 * np.abs(got).max())
+
+
+@pytest.mark.parametrize("delta2", [math.nan, math.inf, -1.0, -0.5, 0.0])
+def test_reconstruction_rejects_delta2_outside_zero_to_infinity(delta2):
     comp = GaussianComponent(np.array([0.7]), np.array([1e-3]), 0.9)
-    with_rate = ApproxModel(SIN_SPACE, [comp], 0.4)
-    without = ApproxModel(SIN_SPACE, [comp], 0.0)
+    model = ApproxModel(SIN_SPACE, [comp], 0.4)
+    ss = SampleSet.ingest(SIN_SPACE, [np.array([[0.7]]), np.zeros((0, 1))])
     y = np.random.default_rng(5).standard_normal(32)
-    a = reconstruct_from_model(with_rate, y, 20.0, 2_000, np.random.default_rng(3), include_outliers=False)
-    b = reconstruct_from_model(without, y, 20.0, 2_000, np.random.default_rng(3))
-    np.testing.assert_array_equal(a, b)
+    with pytest.raises(ModelError, match="delta2"):
+        reconstruct_bma(ss, y, delta2)
+    with pytest.raises(ModelError, match="delta2"):
+        reconstruct_from_model(model, y, delta2, 100, np.random.default_rng(3))
+
+
+def test_reconstruction_rejects_a_non_finite_signal():
+    ss = SampleSet.ingest(SIN_SPACE, [np.array([[0.7]]), np.zeros((0, 1))])
+    y = np.random.default_rng(5).standard_normal(32)
+    y[4] = math.nan
+    with pytest.raises(ModelError, match="finite"):
+        reconstruct_bma(ss, y, 20.0)
 
 
 def test_error_db_values():
