@@ -17,6 +17,7 @@ from .model import (
     SampleSet,
     _component_log_mass,
     _log_interval_mass,
+    _point_labels,
     model_intensity,
     sample_batch_from_model,
 )
@@ -117,12 +118,8 @@ def empirical_count_interval(samples: SampleSet, interval) -> float:
     box = _validate_interval(samples.space, interval)
     if len(samples) == 0:
         raise ModelError("empty sample set")
-    lo, hi = box[:, 0], box[:, 1]
-    total = 0
-    for s in samples.samples:
-        if s.k:
-            total += int(np.sum(np.all((s.components >= lo) & (s.components <= hi), axis=1)))
-    return total / len(samples)
+    inside = np.all((samples.points >= box[:, 0]) & (samples.points <= box[:, 1]), axis=1)
+    return int(inside.sum()) / len(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -139,20 +136,9 @@ def residuals(
     (sample index, component index) pairs.  Binning for display is left
     to the output layer.
     """
-    if len(allocations) != len(samples):
-        raise ModelError("allocations do not align with the sample set")
-    pts: list[np.ndarray] = []
-    src: list[tuple[int, int]] = []
-    for i, (s, z) in enumerate(zip(samples.samples, allocations)):
-        labels = z.labels
-        if labels.shape[0] != s.k:
-            raise ModelError(f"allocation {i} has wrong length")
-        for j in np.flatnonzero(labels == L + 1):
-            pts.append(s.components[j])
-            src.append((i, int(j)))
-    d = samples.space.dim
-    points = np.array(pts).reshape(-1, d)
-    return points, np.array(src, dtype=np.int64).reshape(-1, 2)
+    out = np.flatnonzero(_point_labels(samples, allocations, L) == L + 1)
+    rows = np.repeat(np.arange(len(samples)), samples.k)[out]
+    return samples.points[out], np.stack([rows, out - samples.offsets[rows]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +158,7 @@ def bma_histogram_intensity(
         raise ModelError("empty sample set")
     if not 0 <= dim < samples.space.dim:
         raise ModelError(f"dim {dim} out of range")
-    pooled = [s.components[:, dim] for s in samples.samples if s.k]
-    values = np.concatenate(pooled) if pooled else np.zeros(0)
-    counts, edges = np.histogram(values, bins=bins, range=tuple(samples.space.bounds[dim]))
+    counts, edges = np.histogram(samples.points[:, dim], bins=bins, range=tuple(samples.space.bounds[dim]))
     heights = counts / (len(samples) * np.diff(edges))
     return heights, edges
 
@@ -194,27 +178,29 @@ def intensity_curve(model: ApproxModel, grid: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _mean_reconstruction(freqs: list[np.ndarray], y: np.ndarray, delta2: float) -> np.ndarray:
-    """Average of D(omega) a_hat(omega) over a list of frequency vectors,
-    skipping those with a singular design or a frequency outside (0, pi)."""
+def reconstruct_bma(samples: SampleSet, y: np.ndarray, delta2: float) -> np.ndarray:
+    """Model-averaged noiseless signal estimate: the average of
+    D(omega) a_hat(omega) over the frequency vectors of 1-d samples (chain
+    samples or model draws), skipping those with a singular design or a
+    frequency outside (0, pi)."""
+    if samples.space.dim != 1:
+        raise ModelError("reconstruction needs 1-d frequency samples")
     if not 0.0 < delta2 < math.inf:
         raise ModelError(f"delta2 must be finite and positive, got {delta2!r}")
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ModelError("the signal must be finite")
-    if not freqs:
+    if len(samples) == 0:
         raise ModelError("no draws to reconstruct from")
     N = y.size
     shrink = delta2 / (1.0 + delta2)
-    ks = np.array([w.size for w in freqs])
     acc = np.zeros(N)
     used = 0
-    for k in sorted(set(ks.tolist())):
-        idx = np.flatnonzero(ks == k)
+    for k, idx, block in samples.by_k():
         if k == 0:
             used += idx.size  # the empty model reconstructs the zero signal
             continue
-        stacked = np.stack([freqs[i] for i in idx])
+        stacked = block[:, :, 0]
         for start in range(0, stacked.shape[0], _CHUNK):
             W = stacked[start : start + _CHUNK]
             # a frequency at 0 or pi has a zero or rounding-size sine column
@@ -235,15 +221,6 @@ def _mean_reconstruction(freqs: list[np.ndarray], y: np.ndarray, delta2: float) 
     return acc / used
 
 
-def reconstruct_bma(samples: SampleSet, y: np.ndarray, delta2: float) -> np.ndarray:
-    """Model-averaged noiseless signal estimate from chain samples."""
-    if samples.space.dim != 1:
-        raise ModelError("reconstruction needs 1-d frequency samples")
-    if len(samples) == 0:
-        raise ModelError("empty sample set")
-    return _mean_reconstruction([s.components[:, 0] for s in samples.samples], y, delta2)
-
-
 def reconstruct_from_model(
     model: ApproxModel, y: np.ndarray, delta2: float, size: int, rng
 ) -> np.ndarray:
@@ -254,12 +231,10 @@ def reconstruct_from_model(
     signal.  To leave the outliers out, pass the model with a zero rate,
     ``ApproxModel(model.space, model.components, 0.0)``.
     """
-    if model.space.dim != 1:
-        raise ModelError("reconstruction needs a 1-d model")
     if size < 1:
         raise ModelError("need at least one draw")
     draws, _ = sample_batch_from_model(model, size, rng)
-    return _mean_reconstruction([a[:, 0] for a in draws], y, delta2)
+    return reconstruct_bma(SampleSet.ingest(model.space, draws), y, delta2)
 
 
 def reconstruction_error_db(y_hat: np.ndarray, y_ref: np.ndarray) -> float:

@@ -28,7 +28,7 @@ from .model import (
     ModelError,
     SampleSet,
     _gaussian_log_densities,
-    indicator_from_allocation,
+    _point_labels,
 )
 
 __all__ = [
@@ -178,16 +178,16 @@ def initialize_model(samples: SampleSet, config: FitConfig) -> ApproxModel:
         L = int(ks.max())
     if L == 0:
         return ApproxModel(space, [], config.init_lambda)
-    pool = [s.components for s in samples.samples if s.k == L]
-    if not pool:
-        pool = [s.components for s in samples.samples if s.k >= L]
-        logger.warning(
-            "no samples with k = %d; initializing from %d samples with k >= %d",
-            L, len(pool), L,
-        )
-    stacked = np.stack(
-        [c[np.argsort(c[:, 0], kind="stable")][:L] for c in pool]
-    )  # (n, L, d)
+    pool = [block for k, _, block in samples.by_k() if k >= L]
+    if pool[0].shape[1] > L:
+        logger.warning("no samples with k = %d; initializing from %d samples with k >= %d",
+                       L, sum(map(len, pool)), L)
+    else:
+        pool = pool[:1]
+    stacked = np.concatenate([
+        np.take_along_axis(block, np.argsort(block[:, :, :1], axis=1, kind="stable")[:, :L], axis=1)
+        for block in pool
+    ])  # (n, L, d), each sample's first L components by first coordinate
     mu = np.median(stacked, axis=0)
     q25, q75 = np.percentile(stacked, [25.0, 75.0], axis=0)
     sigma2 = np.maximum(((q75 - q25) / IQR_TO_SIGMA) ** 2, config.sigma2_floor)
@@ -356,21 +356,6 @@ def _mstep_core(pts, lab, M, L, space, previous, sigma2_floor):
     return ApproxModel(space, comps, float(lam)), counts
 
 
-def _flatten_allocated(samples, allocations, L):
-    d = samples.space.dim
-    pts_list, lab_list = [], []
-    for x, z in zip(samples.samples, allocations):
-        if z.k != x.k:
-            raise ModelError("allocation length does not match its sample")
-        indicator_from_allocation(z, L)
-        if x.k:
-            pts_list.append(x.components)
-            lab_list.append(z.labels - 1)
-    if pts_list:
-        return np.concatenate(pts_list), np.concatenate(lab_list)
-    return np.zeros((0, d)), np.zeros(0, dtype=np.int64)
-
-
 def mstep_robust(
     samples: SampleSet,
     allocations: list,
@@ -389,28 +374,14 @@ def mstep_robust(
     M = len(samples)
     if M == 0 or M != len(allocations):
         raise ModelError("samples and allocations must align and be nonempty")
-    pts, lab = _flatten_allocated(samples, allocations, L)
-    model, _ = _mstep_core(pts, lab, M, L, samples.space, previous, sigma2_floor)
+    lab = _point_labels(samples, allocations, L) - 1
+    model, _ = _mstep_core(samples.points, lab, M, L, samples.space, previous, sigma2_floor)
     return model
 
 
 # ---------------------------------------------------------------------------
 # The fit loop
 # ---------------------------------------------------------------------------
-
-
-def _group_by_k(samples: SampleSet):
-    ks = samples.k_values()
-    d = samples.space.dim
-    groups = {}
-    for k in np.unique(ks):
-        idx = np.flatnonzero(ks == k)
-        if k == 0:
-            P = np.zeros((idx.size, 0, d))
-        else:
-            P = np.stack([samples.samples[i].components for i in idx])
-        groups[int(k)] = (idx, P)
-    return groups
 
 
 def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
@@ -429,21 +400,21 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
     model = initialize_model(samples, config)
     space = samples.space
     M = len(samples)
-    groups = _group_by_k(samples)
+    groups = list(samples.by_k())  # (k, record indices, (n, k, d) block), ascending k
+    pts = np.concatenate([P.reshape(-1, space.dim) for _, _, P in groups])  # M-step points
     notes: list = []
     if config.init_rule == "fixed" and model.L < config.fixed_L:
         notes.append(f"fixed_L={config.fixed_L} lowered to {model.L}, the largest k observed")
 
-    Z = {}
-    for k in sorted(groups):
-        idx, P = groups[k]
+    Z = []  # 0-based labels per group
+    for k, idx, P in groups:
         if k == 0:
-            Z[k] = np.zeros((idx.size, 0), dtype=np.int64)
+            Z.append(np.zeros((idx.size, 0), dtype=np.int64))
             continue
         logw = _log_weights(P, model)
         order = np.argsort(rng.random((idx.size, k)), axis=1)
         gumbel = -np.log(-np.log(rng.random((idx.size, k, model.L + 1))))
-        Z[k], _ = _sequential_sweep(logw, order, gumbel, model.L)
+        Z.append(_sequential_sweep(logw, order, gumbel, model.L)[0])
 
     trace = FitTrace()
     pruned_log: list = []
@@ -451,17 +422,13 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
     for r in range(config.iterations):
         joint_total = 0.0
         n_accept = 0
-        for k in sorted(groups):
-            idx, P = groups[k]
-            Z[k], acc, joint = _imh_steps(P, Z[k], model, rng, config.imh_inner_steps)
+        for g, (_, _, P) in enumerate(groups):
+            Z[g], acc, joint = _imh_steps(P, Z[g], model, rng, config.imh_inner_steps)
             joint_total += float(joint.sum())
             n_accept += int(acc.sum())
         criterion = -joint_total
 
-        pts_list = [groups[k][1].reshape(-1, space.dim) for k in sorted(groups)]
-        lab_list = [Z[k].reshape(-1) for k in sorted(groups)]
-        pts = np.concatenate(pts_list) if pts_list else np.zeros((0, space.dim))
-        lab = np.concatenate(lab_list) if lab_list else np.zeros(0, dtype=np.int64)
+        lab = np.concatenate([Zg.reshape(-1) for Zg in Z])
         new_model, counts = _mstep_core(
             pts, lab, M, model.L, space, model, config.sigma2_floor
         )
@@ -486,9 +453,7 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
             L_new = len(survivors)
             lut = np.full(L_old + 1, L_new, dtype=np.int64)
             lut[np.flatnonzero(keep)] = np.arange(L_new)
-            for k in sorted(groups):
-                if Z[k].size:
-                    Z[k] = lut[Z[k]]
+            Z = [lut[Zg] for Zg in Z]
             last_prune = r
             if L_new == 0:
                 notes.append(
@@ -518,9 +483,8 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
             comps = []
         final = ApproxModel(space, comps, float(np.mean([s.lam for s in snaps])))
 
-    allocations: list = [None] * M
-    for k in sorted(groups):
-        idx, _ = groups[k]
-        for row, i in enumerate(idx):
-            allocations[int(i)] = AllocationVector(Z[k][row] + 1)
+    labels = np.empty(samples.points.shape[0], dtype=np.int64)
+    for (k, idx, _), Zg in zip(groups, Z):
+        labels[samples.offsets[idx, None] + np.arange(k)] = Zg + 1
+    allocations = [AllocationVector(z) for z in samples.split(labels)]
     return FitResult(final, trace, allocations, pruned_log, notes)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtr, ndtri
@@ -93,10 +94,6 @@ class VariableDimSample:
     def k(self) -> int:
         return self.components.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.components.shape[1]
-
 
 @dataclass
 class AllocationVector:
@@ -170,49 +167,87 @@ class ApproxModel:
         return np.array([c.pi for c in self.components])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Ordered collection of variable-dimensional samples plus provenance.
+    """Ordered collection of variable-dimensional samples plus provenance,
+    held as two columns: ``points``, every record's components stacked in
+    record order into one read-only (P, d) array, and ``k``, the (M,) count
+    per record, so record i is ``points[offsets[i]:offsets[i + 1]]``.
 
     Samples whose components fall outside the box are rejected at ingestion
     (never clamped); ``rejected`` holds the count.
     """
 
     space: ParamSpace
-    samples: list[VariableDimSample]
+    points: np.ndarray
+    k: np.ndarray
     provenance: dict = field(default_factory=dict)
     rejected: int = 0
 
+    def __post_init__(self):
+        points = np.asarray(self.points, dtype=float).view()
+        k = np.asarray(self.k)
+        if points.ndim != 2 or points.shape[1] != self.space.dim or k.ndim != 1 or (
+                k.size and k.dtype.kind not in "iu"):
+            raise ModelError(f"need (P, {self.space.dim}) points and (M,) integer k, "
+                             f"got {points.shape} and {k.shape} {k.dtype}")
+        k = k.astype(np.int64)
+        if np.any(k < 0) or k.sum() != points.shape[0]:
+            raise ModelError(f"k must be >= 0 and add up to the {points.shape[0]} points")
+        points.flags.writeable = k.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "k", k)
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.k.shape[0]
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """(M+1,) start of each record in ``points``, then P."""
+        return np.concatenate(([0], np.cumsum(self.k)))
+
+    def split(self, per_point: np.ndarray) -> list[np.ndarray]:
+        """Cut an array aligned with ``points`` into one view per record."""
+        ends = self.offsets.tolist()
+        return [per_point[a:b] for a, b in zip(ends, ends[1:])]
+
+    @cached_property
+    def samples(self) -> tuple[VariableDimSample, ...]:
+        """One read-only VariableDimSample view per record."""
+        return tuple(VariableDimSample(c) for c in self.split(self.points))
 
     def k_values(self) -> np.ndarray:
-        return np.array([s.k for s in self.samples], dtype=np.int64)
+        return self.k
 
     def empirical_posterior_k(self) -> np.ndarray:
         """Relative frequency of each k, indexed 0..max(k)."""
-        ks = self.k_values()
-        if ks.size == 0:
+        if len(self) == 0:
             raise ModelError("empty sample set")
-        return np.bincount(ks) / ks.size
+        return np.bincount(self.k) / len(self)
+
+    def by_k(self):
+        """Yield ``(k, record indices, (n, k, d) block)`` for each k present,
+        in ascending k; the block's rows follow record order."""
+        starts = self.offsets[:-1]
+        for k in np.unique(self.k).tolist():
+            idx = np.flatnonzero(self.k == k)
+            yield k, idx, self.points[starts[idx, None] + np.arange(k)]
 
     @classmethod
-    def ingest(
-        cls,
-        space: ParamSpace,
-        raw: list[np.ndarray],
-        provenance: dict | None = None,
-    ) -> "SampleSet":
-        """Build a SampleSet, dropping samples with out-of-box components."""
-        kept: list[VariableDimSample] = []
-        rejected = 0
-        for arr in raw:
-            arr = np.asarray(arr, dtype=float).reshape(-1, space.dim)
-            if arr.shape[0] > 0 and not bool(np.all(space.contains(arr))):
-                rejected += 1
-                continue
-            kept.append(VariableDimSample(arr))
-        return cls(space, kept, provenance or {}, rejected)
+    def ingest(cls, space: ParamSpace, raw: list[np.ndarray], provenance: dict | None = None):
+        """Build a SampleSet from one (k_i, d) array per record, dropping
+        the records with out-of-box components."""
+        arrays = [np.asarray(a, dtype=float).reshape(-1, space.dim) for a in raw]
+        points = np.concatenate(arrays or [np.zeros((0, space.dim))])
+        return cls.ingest_columns(space, points, [len(a) for a in arrays], provenance)
+
+    @classmethod
+    def ingest_columns(cls, space: ParamSpace, points, k, provenance: dict | None = None):
+        """:meth:`ingest` for records already held as the two columns."""
+        whole = cls(space, points, k, provenance or {})
+        rows = np.repeat(np.arange(len(whole)), whole.k)
+        bad = np.bincount(rows[~space.contains(whole.points)], minlength=len(whole)) > 0
+        return cls(space, whole.points[~bad[rows]], whole.k[~bad], whole.provenance, int(bad.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +318,18 @@ def _truncated_normal_draws(
 # ---------------------------------------------------------------------------
 
 
+def _label_counts(labels: np.ndarray, rows: np.ndarray, n: int, L: int) -> np.ndarray:
+    """(n, L+1) count of each 1-based label in each of n records, ``rows``
+    naming each point's record; checked as :func:`indicator_from_allocation`."""
+    if labels.size and (labels.min() < 1 or labels.max() > L + 1):
+        raise ModelError(f"labels must lie in 1..{L + 1}")
+    counts = np.bincount(rows * (L + 1) + labels - 1, minlength=n * (L + 1)).reshape(n, L + 1)
+    repeated = np.argwhere(counts[:, :L] > 1)
+    if repeated.size:
+        raise ModelError(f"Gaussian label {repeated[0, 1] + 1} repeated: allocation is invalid")
+    return counts
+
+
 def indicator_from_allocation(z: AllocationVector, L: int) -> np.ndarray:
     """Count how many points each label received: an (L+1,) array whose last
     entry counts the outlier points.
@@ -290,14 +337,20 @@ def indicator_from_allocation(z: AllocationVector, L: int) -> np.ndarray:
     Raises if a label is out of range or a Gaussian label repeats (the
     allocation is then not a valid labeling).
     """
-    labels = z.labels
-    if labels.size and (labels.min() < 1 or labels.max() > L + 1):
-        raise ModelError(f"labels must lie in 1..{L + 1}")
-    counts = np.bincount(labels - 1, minlength=L + 1) if labels.size else np.zeros(L + 1, dtype=np.int64)
-    if np.any(counts[:L] > 1):
-        bad = int(np.argmax(counts[:L] > 1)) + 1
-        raise ModelError(f"Gaussian label {bad} repeated: allocation is invalid")
-    return counts
+    return _label_counts(z.labels, np.zeros(z.k, dtype=np.int64), 1, L)[0]
+
+
+def _point_labels(samples: SampleSet, allocations: list, L: int) -> np.ndarray:
+    """The 1-based labels of ``samples.points`` from one AllocationVector per
+    record, each checked as :func:`indicator_from_allocation` checks it."""
+    if len(allocations) != len(samples):
+        raise ModelError("allocations do not align with the sample set")
+    wrong = np.flatnonzero(np.array([z.k for z in allocations], dtype=np.int64) != samples.k)
+    if wrong.size:
+        raise ModelError(f"allocation {wrong[0]} has wrong length")
+    labels = np.concatenate([z.labels for z in allocations] or [np.zeros(0, dtype=np.int64)])
+    _label_counts(labels, np.repeat(np.arange(len(samples)), samples.k), len(samples), L)
+    return labels
 
 
 def labeled_joint_log_density(

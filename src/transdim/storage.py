@@ -79,7 +79,13 @@ def parse_json_object(text: str, what: str) -> dict:
 
 
 def write_samples(samples: SampleSet, path) -> None:
-    """Persist a SampleSet: JSON header line, then one record per sample."""
+    """Persist a SampleSet: JSON header line, then one record per sample.
+
+    Non-finite values are refused before the file is opened, so a refused
+    write leaves an existing file as it was.
+    """
+    if not np.all(np.isfinite(samples.points)):
+        raise StorageError("refusing to write non-finite sample values")
     header = {
         "format": SAMPLES_FORMAT,
         "version": FORMAT_VERSION,
@@ -87,13 +93,12 @@ def write_samples(samples: SampleSet, path) -> None:
         "bounds": [[float(lo), float(hi)] for lo, hi in samples.space.bounds],
         "provenance": samples.provenance,
     }
+    values = [_fmt(v) for v in samples.points.ravel().tolist()]
+    ends = (samples.offsets * samples.space.dim).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for s in samples.samples:
-            flat = s.components.reshape(-1)
-            if not np.all(np.isfinite(flat)):
-                raise StorageError("refusing to write non-finite sample values")
-            fh.write(" ".join([str(s.k)] + [_fmt(v) for v in flat]) + "\n")
+        for k, a, b in zip(samples.k.tolist(), ends, ends[1:]):
+            fh.write(" ".join([str(k), *values[a:b]]) + "\n")
 
 
 def read_samples(path) -> SampleSet:
@@ -126,7 +131,7 @@ def read_samples(path) -> SampleSet:
         if not isinstance(provenance, dict):
             raise StorageError("line 1: provenance is not a JSON object")
 
-        raw: list[np.ndarray] = []
+        ks, flat = [], []  # k per record, then every value in record order
         for lineno, line in enumerate(fh, start=2):
             tokens = line.split()
             if not tokens:
@@ -140,10 +145,11 @@ def read_samples(path) -> SampleSet:
                 raise StorageError(
                     f"line {lineno}: expected {0 if k < 0 else k * d} values for k={tokens[0]}, got {len(values)}"
                 )
-            if not all(math.isfinite(v) for v in values):
+            if not all(map(math.isfinite, values)):
                 raise StorageError(f"line {lineno}: non-finite value")
-            raw.append(np.array(values).reshape(k, d))
-        return SampleSet.ingest(space, raw, provenance)
+            ks.append(k)
+            flat.extend(values)
+    return SampleSet.ingest_columns(space, np.array(flat).reshape(-1, d), ks, provenance)
 
 
 # ---------------------------------------------------------------------------

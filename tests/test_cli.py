@@ -14,7 +14,7 @@ import pytest
 
 from transdim import cli, montecarlo
 from transdim.fit import FitConfig, sem_fit
-from transdim.model import ModelError
+from transdim.model import ApproxModel, GaussianComponent, ModelError, ParamSpace, SampleSet
 from transdim.muons import AugerChainConfig, rjmcmc_run_auger, simulate_pe_signal
 from transdim.sinusoid import SinChainConfig, generate_synthetic_signal, rjmcmc_run
 from transdim.storage import read_model, read_samples, spawn_seeds, write_model, write_samples
@@ -305,6 +305,19 @@ def test_report_files_match_recorded_digests(sin_run, tmp_path):
     got = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()[:16]
            for name in REPORT_DIGESTS}
     assert got == REPORT_DIGESTS
+
+
+@pytest.mark.parametrize("text", ["7 0\n-3\n", "1 1\n2\n"])
+def test_report_invalid_allocation_labels_are_data_errors(tmp_path, text):
+    # labels outside 1..L+1, or a Gaussian label repeated, for an L = 1 model
+    space = ParamSpace(np.array([[0.0, 1.0]]))
+    write_samples(SampleSet.ingest(space, [np.array([[0.2], [0.8]]), np.array([[0.5]])]),
+                  tmp_path / "s.samples")
+    write_model(ApproxModel(space, [GaussianComponent([0.5], [0.01], 0.5)], 0.5), tmp_path / "m.json")
+    (tmp_path / "alloc.txt").write_text(text)
+    rc = cli.main(["report", "--model", str(tmp_path / "m.json"), "--samples", str(tmp_path / "s.samples"),
+                   "--allocations", str(tmp_path / "alloc.txt"), "--outdir", str(tmp_path / "r")])
+    assert rc == 2
 
 
 def test_report_reconstruction_without_seed_is_data_error(sin_run, tmp_path):

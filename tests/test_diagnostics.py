@@ -153,7 +153,7 @@ def test_interval_count_matches_empirical():
 
 
 def test_empirical_count_validation():
-    ss = SampleSet(UNIT, [])
+    ss = SampleSet(UNIT, np.zeros((0, 1)), [])
     with pytest.raises(ModelError):
         empirical_count_interval(ss, [[0.0, 1.0]])
 
@@ -197,6 +197,17 @@ def test_residuals_empty_and_errors():
         residuals(ss, [AllocationVector([1, 2]), AllocationVector([2])], L=2)
 
 
+@pytest.mark.parametrize("labels", [[[7, 0], [-3]], [[1, 1], [2]]])
+def test_residuals_and_mstep_reject_the_same_invalid_labels(labels):
+    # out-of-range labels, and a Gaussian label used twice in one sample
+    ss = build_set([[0.2, 0.8], [0.5]])
+    allocs = [AllocationVector(z) for z in labels]
+    with pytest.raises(ModelError):
+        residuals(ss, allocs, L=1)
+    with pytest.raises(ModelError):
+        mstep_robust(ss, allocs, 1, make_model([0.5], [0.01], [0.5], 0.5))
+
+
 def test_residual_fraction_equals_refitted_rate():
     ss = build_set([[0.2, 0.8], [0.5], [0.4, 0.6, 0.9]])
     allocs = [
@@ -237,7 +248,7 @@ def test_histogram_single_sample_integrates_to_k():
 
 def test_histogram_validation():
     with pytest.raises(ModelError):
-        bma_histogram_intensity(SampleSet(UNIT, []))
+        bma_histogram_intensity(SampleSet(UNIT, np.zeros((0, 1)), []))
     ss = build_set([[0.5]])
     with pytest.raises(ModelError):
         bma_histogram_intensity(ss, dim=1)
@@ -309,7 +320,7 @@ def test_reconstruct_bma_empty_models_give_zero():
     y = np.random.default_rng(0).standard_normal(16)
     np.testing.assert_array_equal(reconstruct_bma(ss, y, 10.0), np.zeros(16))
     with pytest.raises(ModelError):
-        reconstruct_bma(SampleSet(SIN_SPACE, []), y, 10.0)
+        reconstruct_bma(SampleSet(SIN_SPACE, np.zeros((0, 1)), []), y, 10.0)
 
 
 def test_reconstruct_bma_single_frequency_matches_direct_formula():

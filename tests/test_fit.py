@@ -558,7 +558,7 @@ def test_fit_reports_when_all_components_die():
 
 def test_fit_rejects_empty_input():
     space = ParamSpace(np.array([[0.0, 1.0]]))
-    ss = SampleSet(space, [], {})
+    ss = SampleSet(space, np.zeros((0, 1)), [])
     with pytest.raises(ModelError):
         sem_fit(ss, FitConfig())
 

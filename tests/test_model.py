@@ -529,6 +529,33 @@ def test_sampleset_empirical_k_distribution():
     assert post.tolist() == pytest.approx([0.0, 2 / 3, 1 / 3])
 
 
+@pytest.mark.parametrize(
+    "points, k",
+    [
+        (np.zeros((3, 1)), [1, 1]),  # rows do not add up to k
+        (np.zeros((2, 1)), [3]),
+        (np.zeros((2, 2)), [1, 1]),  # d does not match the space
+        (np.zeros(2), [1, 1]),
+        (np.zeros((2, 1)), [3, -1]),  # a negative k
+        (np.zeros((2, 1)), [1.0, 1.0]),  # k is not an integer array
+        (np.zeros((2, 1)), [[1, 1]]),
+    ],
+)
+def test_sampleset_rejects_inconsistent_columns(points, k):
+    with pytest.raises(ModelError):
+        SampleSet(ParamSpace(np.array([[0.0, 1.0]])), points, k)
+
+
+def test_sampleset_columns_are_read_only():
+    ss = SampleSet(ParamSpace(np.array([[0.0, 1.0]])), np.array([[0.2], [0.4], [0.6]]), [2, 0, 1])
+    assert [s.components.tolist() for s in ss.samples] == [[[0.2], [0.4]], [], [[0.6]]]
+    assert ss.samples is ss.samples
+    with pytest.raises(ValueError):
+        ss.samples[0].components[0, 0] = 0.9
+    with pytest.raises(ValueError):
+        ss.k[0] = 1
+
+
 # ---------------------------------------------------------------------------
 # type validation
 # ---------------------------------------------------------------------------

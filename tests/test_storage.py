@@ -19,7 +19,6 @@ from transdim.model import (
     GaussianComponent,
     ParamSpace,
     SampleSet,
-    VariableDimSample,
 )
 from transdim.muons import PECountSignal
 from transdim.storage import (
@@ -159,9 +158,19 @@ def test_non_finite_value_rejected_on_read(tmp_path):
 
 def test_non_finite_value_refused_on_write(tmp_path):
     space = ParamSpace(np.array([[0.0, 1.0]]))
-    bad = SampleSet(space, [VariableDimSample(np.array([[math.inf]]))])
+    bad = SampleSet(space, np.array([[math.inf]]), [1])
     with pytest.raises(StorageError, match="non-finite"):
         write_samples(bad, tmp_path / "inf.samples")
+
+
+def test_refused_write_leaves_the_existing_file_unchanged(tmp_path):
+    path = tmp_path / "keep.samples"
+    write_samples(_random_sample_set(20, 1, np.array([[0.0, 1.0]]), seed=5), path)
+    before = path.read_bytes()
+    bad = SampleSet(ParamSpace(np.array([[0.0, 1.0]])), np.array([[0.5], [math.nan]]), [0, 2])
+    with pytest.raises(StorageError, match="non-finite"):
+        write_samples(bad, path)
+    assert path.read_bytes() == before
 
 
 def test_out_of_box_records_rejected_at_ingest(tmp_path):
@@ -401,3 +410,34 @@ def test_fuzz_cli_report_on_bad_model(fuzz_dir, text):
     report = cli.main(["report", "--model", str(path), "--samples", str(fuzz_dir / "ok.samples"),
                        "--outdir", str(fuzz_dir / "cli_report")])
     assert report == 2 if rejected else report in (0, 2)
+
+
+# records of k = 0..5 points, d = 1 or 2, in and out of the unit box
+RECORDS = st.integers(1, 2).flatmap(lambda d: st.tuples(st.just(d), st.lists(
+    st.lists(st.lists(st.floats(-0.5, 1.5), min_size=d, max_size=d), max_size=5), max_size=12)))
+
+
+@given(case=RECORDS)
+@_FUZZ
+def test_columns_keep_the_in_box_records_in_order(fuzz_dir, case):
+    d, records = case
+    space = ParamSpace(np.tile([0.0, 1.0], (d, 1)))
+    raw = [np.array(r, dtype=float).reshape(-1, d) for r in records]
+    kept = [r for r in raw if np.all((r >= 0.0) & (r <= 1.0))]
+    ss = SampleSet.ingest(space, raw)
+    assert ss.rejected == len(raw) - len(kept)
+    assert ss.k_values().tolist() == [r.shape[0] for r in kept]
+    assert len(ss.samples) == len(kept)
+    assert all(np.array_equal(s.components, r) for s, r in zip(ss.samples, kept))
+
+    path = fuzz_dir / "columns.samples"
+    write_samples(ss, path)
+    back = read_samples(path)
+    assert back.points.tobytes() == ss.points.tobytes()  # bit for bit, -0.0 included
+    assert back.k.tolist() == ss.k.tolist() and back.rejected == 0
+
+    groups = list(ss.by_k())
+    assert [k for k, _, _ in groups] == sorted(set(ss.k.tolist()))
+    for k, idx, block in groups:
+        assert idx.tolist() == [i for i, r in enumerate(kept) if r.shape[0] == k]
+        assert block.tobytes() == np.stack([kept[i] for i in idx]).tobytes()
