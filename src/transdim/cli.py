@@ -153,8 +153,10 @@ def _parse_interval(text: str, d: int):
     return [list(p) for p in pairs]
 
 
-def _load_allocations(path, samples):
-    from .model import AllocationVector
+def _load_allocations(path, samples, L):
+    """One AllocationVector per sample, its labels checked against the
+    samples' k and an L-component model."""
+    from .model import AllocationVector, _point_labels
 
     allocs = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -164,8 +166,7 @@ def _load_allocations(path, samples):
                 allocs.append(AllocationVector([int(t) for t in tokens]))
             except ValueError:
                 raise storage.StorageError(f"allocations line {lineno}: malformed") from None
-    if len(allocs) != len(samples):
-        raise storage.StorageError("allocation count does not match the sample set")
+    _point_labels(samples, allocs, L)
     return allocs
 
 
@@ -180,7 +181,7 @@ def _cmd_report(args) -> int:
             f"model dimension {model.space.dim} does not match samples dimension {samples.space.dim}"
         )
     intervals = [_parse_interval(s, model.space.dim) for s in args.interval or []]
-    allocations = _load_allocations(args.allocations, samples) if args.allocations else None
+    allocations = _load_allocations(args.allocations, samples, model.L) if args.allocations else None
 
     recon_db = None
     recon_columns = None

@@ -16,12 +16,12 @@ from .model import (
     ParamSpace,
     SampleSet,
     _component_log_mass,
+    _draw_columns,
     _log_interval_mass,
     _point_labels,
     model_intensity,
-    sample_batch_from_model,
 )
-from .sinusoid import design_matrix
+from .sinusoid import _batched_design
 
 __all__ = [
     "approx_posterior_k",
@@ -205,16 +205,15 @@ def reconstruct_bma(samples: SampleSet, y: np.ndarray, delta2: float) -> np.ndar
             W = stacked[start : start + _CHUNK]
             # a frequency at 0 or pi has a zero or rounding-size sine column
             W = W[np.all((W > 0.0) & (W < math.pi), axis=1)]
-            D = design_matrix(W, N)
-            G = np.einsum("nij,nik->njk", D, D)
-            Dty = np.einsum("nij,i->nj", D, y)
+            Dt = _batched_design(W, N)
+            G = Dt @ np.swapaxes(Dt, 1, 2)
+            Dty = Dt @ y
             # a zero pivot in the LU of D'D, where np.linalg.solve would raise
             singular = np.linalg.slogdet(G)[0] == 0.0
             G[singular] = np.eye(2 * k)
             ahat = shrink * np.linalg.solve(G, Dty[:, :, None])[:, :, 0]
             ahat[singular] = 0.0
-            recon = np.einsum("nij,nj->ni", D, ahat)
-            acc += recon.sum(axis=0)
+            acc += ahat.reshape(-1) @ Dt.reshape(-1, N)
             used += W.shape[0] - int(singular.sum())
     if used == 0:
         raise ModelError("every draw had a singular design")
@@ -231,10 +230,10 @@ def reconstruct_from_model(
     signal.  To leave the outliers out, pass the model with a zero rate,
     ``ApproxModel(model.space, model.components, 0.0)``.
     """
+    points, k, _ = _draw_columns(model, size, rng)
     if size < 1:
         raise ModelError("need at least one draw")
-    draws, _ = sample_batch_from_model(model, size, rng)
-    return reconstruct_bma(SampleSet.ingest(model.space, draws), y, delta2)
+    return reconstruct_bma(SampleSet.ingest_columns(model.space, points, k), y, delta2)
 
 
 def reconstruction_error_db(y_hat: np.ndarray, y_ref: np.ndarray) -> float:

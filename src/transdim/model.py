@@ -10,6 +10,7 @@ absorbs points none of the Gaussians explains.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -388,16 +389,11 @@ def labeled_joint_log_density(
     return out + float(term.sum())
 
 
-def sample_batch_from_model(
-    model: ApproxModel, size: int, rng: np.random.Generator | int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Draw many samples with their true allocations.
-
-    Returns
-    -------
-    samples : list of (k_i, d) arrays
-    labels : list of (k_i,) int arrays with values in 1..L+1
-    """
+def _draw_columns(model: ApproxModel, size: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``size`` draws of the model as columns: the (P, d) points in record
+    order, the (size,) count per record and the (P,) labels in 1..L+1."""
+    if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 0:
+        raise ModelError(f"size must be an integer >= 0, got {size!r}")
     rng = np.random.default_rng(rng)
     L, d = model.L, model.space.dim
     lo, hi = model.space.bounds[:, 0], model.space.bounds[:, 1]
@@ -435,10 +431,23 @@ def sample_batch_from_model(
     order = np.argsort(keys, axis=1)
     points = np.take_along_axis(points, order[:, :, None], axis=1)
     labels = np.take_along_axis(labels, order, axis=1)
+    keep = np.arange(k_max) < k[:, None]
+    return points[keep], k, labels[keep]
 
-    out_samples = [points[i, : k[i]].copy() for i in range(size)]
-    out_labels = [labels[i, : k[i]].copy() for i in range(size)]
-    return out_samples, out_labels
+
+def sample_batch_from_model(
+    model: ApproxModel, size: int, rng: np.random.Generator | int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Draw many samples with their true allocations.
+
+    Returns
+    -------
+    samples : list of (k_i, d) arrays
+    labels : list of (k_i,) int arrays with values in 1..L+1
+    """
+    points, k, labels = _draw_columns(model, size, rng)
+    records = SampleSet(model.space, points, k)
+    return records.split(points), records.split(labels)
 
 
 def model_intensity(theta: np.ndarray, model: ApproxModel) -> np.ndarray | float:

@@ -116,6 +116,25 @@ def design_matrix(omega: np.ndarray, N: int) -> np.ndarray:
     return D
 
 
+def _batched_design(W: np.ndarray, N: int) -> np.ndarray:
+    """(n, 2k, N) transposed designs of the n rows of W, cosine rows then
+    sine rows.  With t = B s + r and B = ceil(sqrt(N)), the trig of omega t
+    comes from that of omega r and omega B s by angle addition: about 4
+    sqrt(N) trig calls per frequency instead of 2 N, and equal to
+    :func:`design_matrix` to about 1e-14, not bit for bit."""
+    n, k = W.shape
+    B = math.isqrt(max(N - 1, 0)) + 1
+    S = -(-N // B)
+    r, s = W[..., None] * np.arange(B), W[..., None] * (B * np.arange(S))
+    cs, ss = np.cos(s), np.sin(s)
+    # cos(a + b) = (cos a, -sin a).(cos b, sin b), sin(a + b) = (sin a, cos a).(cos b, sin b)
+    rows = np.stack([cs, -ss, ss, cs], axis=-1).reshape(n, k, S, 2, 2).swapaxes(2, 3)
+    cols = np.stack([np.cos(r), np.sin(r)], axis=-2)[:, :, None]
+    out = np.empty((n, 2, k, S, B))
+    np.matmul(rows, cols, out=out.swapaxes(1, 2))
+    return out.reshape(n, 2 * k, S * B)[..., :N]
+
+
 def _data_part(omega: np.ndarray, y: np.ndarray, delta2: float):
     """(-k log(1+delta2) - N/2 log(y'P y), design factor) for sorted omega.
 

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from transdim import cli, montecarlo
+from transdim import cli, diagnostics, montecarlo
 from transdim.fit import FitConfig, sem_fit
 from transdim.model import ApproxModel, GaussianComponent, ModelError, ParamSpace, SampleSet
 from transdim.muons import AugerChainConfig, rjmcmc_run_auger, simulate_pe_signal
@@ -318,6 +318,21 @@ def test_report_invalid_allocation_labels_are_data_errors(tmp_path, text):
     rc = cli.main(["report", "--model", str(tmp_path / "m.json"), "--samples", str(tmp_path / "s.samples"),
                    "--allocations", str(tmp_path / "alloc.txt"), "--outdir", str(tmp_path / "r")])
     assert rc == 2
+
+
+def test_report_checks_allocation_labels_before_reconstruction(sin_run, tmp_path, monkeypatch):
+    samples = read_samples(sin_run / "draws.samples")
+    bad = read_model(sin_run / "model.json").L + 2
+    (tmp_path / "alloc.txt").write_text("".join(" ".join([str(bad)] * k) + "\n" for k in samples.k.tolist()))
+    calls = []
+    monkeypatch.setattr(diagnostics, "reconstruct_from_model", lambda *args: calls.append(args))
+    rc = cli.main(
+        ["report", "--model", str(sin_run / "model.json"), "--samples", str(sin_run / "draws.samples"),
+         "--allocations", str(tmp_path / "alloc.txt"), "--outdir", str(tmp_path / "r"),
+         "--signal", str(sin_run / "signal.json"), "--seed", "1", "--draws", "100000"]
+    )
+    assert rc == 2
+    assert calls == []
 
 
 def test_report_reconstruction_without_seed_is_data_error(sin_run, tmp_path):

@@ -444,6 +444,38 @@ def test_reconstruction_matches_per_draw_solves_across_chunks(monkeypatch):
     np.testing.assert_allclose(chunked, got, rtol=1e-13, atol=1e-14 * np.abs(got).max())
 
 
+def test_reconstruct_from_model_matches_per_draw_solves():
+    # the same draws as sample_batch_from_model at the same seed, each
+    # solved densely with the exact design
+    model = ApproxModel(
+        SIN_SPACE,
+        [GaussianComponent(np.array([0.6]), np.array([1e-3]), 0.9),
+         GaussianComponent(np.array([1.7]), np.array([4e-3]), 0.6)],
+        0.4,
+    )
+    sig = generate_synthetic_signal(2, [0.6, 1.7], [16.0, 9.0], [0.4, 1.0], 10.0, 48, seed=6)
+    draws, _ = sample_batch_from_model(model, 3000, np.random.default_rng(17))
+    shrink = 30.0 / 31.0
+    ref = np.zeros(sig.N)
+    for w in draws:
+        if w.size:
+            D = design_matrix(w[:, 0], sig.N)
+            ref += D @ (shrink * np.linalg.solve(D.T @ D, D.T @ sig.y))
+    ref /= len(draws)
+    got = reconstruct_from_model(model, sig.y, 30.0, 3000, np.random.default_rng(17))
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("size", [2.5, True, -1, "3", None])
+def test_model_draws_reject_a_size_that_is_not_a_count(size):
+    model = ApproxModel(SIN_SPACE, [GaussianComponent(np.array([0.7]), np.array([1e-3]), 0.9)], 0.4)
+    y = np.random.default_rng(5).standard_normal(32)
+    with pytest.raises(ModelError, match="size"):
+        sample_batch_from_model(model, size, 3)
+    with pytest.raises(ModelError, match="size"):
+        reconstruct_from_model(model, y, 20.0, size, np.random.default_rng(3))
+
+
 @pytest.mark.parametrize("delta2", [math.nan, math.inf, -1.0, -0.5, 0.0])
 def test_reconstruction_rejects_delta2_outside_zero_to_infinity(delta2):
     comp = GaussianComponent(np.array([0.7]), np.array([1e-3]), 0.9)

@@ -22,6 +22,7 @@ from transdim.model import (
     ParamSpace,
     SampleSet,
     VariableDimSample,
+    _draw_columns,
     _gaussian_log_densities,
     indicator_from_allocation,
     labeled_joint_log_density,
@@ -468,6 +469,20 @@ def test_sampler_labels_consistent_with_sample():
         near_1 = pts[lab == 1, 0]
         if near_1.size:
             assert np.all(np.abs(near_1 - 0.2) < 0.12)
+
+
+def test_sampler_lists_split_the_drawn_columns():
+    model = make_model(
+        [(0.0, 1.0), (0.0, 2.0)], [[0.2, 0.5], [0.8, 1.5]], [[0.01, 0.04], [0.02, 0.01]], [0.9, 0.4], 1.5
+    )
+    samples, labels = sample_batch_from_model(model, 500, 7)
+    points, k, flat_labels = _draw_columns(model, 500, 7)
+    assert [s.shape[0] for s in samples] == k.tolist()
+    assert np.array_equal(np.concatenate(samples), points)
+    assert np.array_equal(np.concatenate(labels), flat_labels)
+    empty = _draw_columns(model, 0, 7)
+    assert [a.shape for a in empty] == [(0, 2), (0,), (0,)]
+    assert sample_batch_from_model(model, 0, 7) == ([], [])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from transdim.oracle import quadrature_log_marginal
 from transdim.sinusoid import (
     SinChainConfig,
     SinusoidSignal,
+    _batched_design,
     _SinChain,
     _data_part,
     design_matrix,
@@ -67,6 +68,20 @@ def test_batched_design_matrix_equals_stacked_single_calls(k):
     D = design_matrix(omega, 32)
     assert D.shape == (5, 32, 2 * k)
     assert np.array_equal(D, np.stack([design_matrix(w, 32) for w in omega]))
+
+
+@pytest.mark.parametrize("N", [2, 17, 64, 100])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_angle_addition_design_matches_design_matrix(N, k):
+    # cosine rows then sine rows of the transposed design; n = 0 is the
+    # empty chunk of a k-group whose draws were all dropped
+    for n in (0, 7):
+        omega = np.random.default_rng(10 * N + k).uniform(0.0, math.pi, size=(n, k))
+        D = design_matrix(omega, N)
+        got = _batched_design(omega, N)
+        assert got.shape == (n, 2 * k, N)
+        want = np.concatenate([D[..., 0::2], D[..., 1::2]], axis=2).swapaxes(1, 2)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_design_products_near_half_identity():
