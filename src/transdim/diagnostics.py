@@ -86,6 +86,8 @@ def _validate_interval(space: ParamSpace, interval) -> np.ndarray:
     box = np.atleast_2d(np.asarray(interval, dtype=float))
     if box.shape != (space.dim, 2):
         raise ModelError(f"interval must have shape ({space.dim}, 2)")
+    if not np.isfinite(box).all():
+        raise ModelError("interval bounds must be finite")
     if np.any(box[:, 0] > box[:, 1]):
         raise ModelError("interval lower bounds exceed upper bounds")
     lo, hi = space.bounds[:, 0], space.bounds[:, 1]

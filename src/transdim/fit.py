@@ -27,6 +27,7 @@ from .model import (
     GaussianComponent,
     ModelError,
     SampleSet,
+    _check_int,
     _gaussian_log_densities,
     _point_labels,
 )
@@ -46,6 +47,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 IQR_TO_SIGMA = 1.349  # Gaussian consistency factor for the interquartile range
+SIGMA2_FLOOR = 1e-10  # least variance a robust moment estimate returns
 
 
 @dataclass
@@ -70,27 +72,22 @@ class FitConfig:
     init_rule: str = "percentile"
     threshold_for_L: float = 0.05
     fixed_L: int | None = None
-    sigma2_floor: float = 1e-10
 
     def __post_init__(self):
-        # every comparison below is False for NaN, so NaN fails each check
-        counts = (self.iterations, self.imh_inner_steps, self.averaging_window)
-        if not all(isinstance(v, numbers.Integral) and v >= 1 for v in counts):
-            raise ModelError("iterations, imh_inner_steps, averaging_window must be integers >= 1")
-        if not (isinstance(self.rng_seed, numbers.Integral) and self.rng_seed >= 0):
-            raise ModelError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
+        for name in ("iterations", "imh_inner_steps", "averaging_window"):
+            _check_int(name, getattr(self, name), 1)
+        _check_int("rng_seed", self.rng_seed, 0)
         if self.averaging_window > self.iterations:
             raise ModelError("averaging_window must not exceed iterations")
-        if self.fixed_L is not None and not (isinstance(self.fixed_L, numbers.Integral)
-                                             and self.fixed_L >= 0):
-            raise ModelError(f"fixed_L must be an integer >= 0, got {self.fixed_L!r}")
+        if self.fixed_L is not None:
+            _check_int("fixed_L", self.fixed_L, 0)
+        # every comparison below is False for NaN, so NaN fails each check
         for name, ok, need in (
             ("prune_threshold", lambda v: v >= 0.0, ">= 0"),
             ("init_pi", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
             ("threshold_for_L", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
             ("percentile_for_L", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
             ("init_lambda", lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-            ("sigma2_floor", lambda v: 0.0 < v < math.inf, "finite and > 0"),
         ):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and ok(value)):
@@ -158,6 +155,14 @@ def choose_component_count(k_values: np.ndarray, config: FitConfig) -> int:
     return int(hits[-1])
 
 
+def _robust_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Median and squared interquartile range over 1.349 along axis 0 (linearly
+    interpolated quartiles), the latter floored at SIGMA2_FLOOR."""
+    mu = np.median(x, axis=0)
+    q25, q75 = np.percentile(x, [25.0, 75.0], axis=0)
+    return mu, np.maximum(((q75 - q25) / IQR_TO_SIGMA) ** 2, SIGMA2_FLOOR)
+
+
 def initialize_model(samples: SampleSet, config: FitConfig) -> ApproxModel:
     """Starting model: L from the k-distribution, moments from sorted components.
 
@@ -188,9 +193,7 @@ def initialize_model(samples: SampleSet, config: FitConfig) -> ApproxModel:
         np.take_along_axis(block, np.argsort(block[:, :, :1], axis=1, kind="stable")[:, :L], axis=1)
         for block in pool
     ])  # (n, L, d), each sample's first L components by first coordinate
-    mu = np.median(stacked, axis=0)
-    q25, q75 = np.percentile(stacked, [25.0, 75.0], axis=0)
-    sigma2 = np.maximum(((q75 - q25) / IQR_TO_SIGMA) ** 2, config.sigma2_floor)
+    mu, sigma2 = _robust_moments(stacked)
     comps = [GaussianComponent(mu[l], sigma2[l], config.init_pi) for l in range(L)]
     return ApproxModel(space, comps, config.init_lambda)
 
@@ -332,7 +335,7 @@ def imh_batch_step(points, labels, model, rng):
 # ---------------------------------------------------------------------------
 
 
-def _mstep_core(pts, lab, M, L, space, previous, sigma2_floor):
+def _mstep_core(pts, lab, M, L, space, previous):
     """Robust parameter update from flattened (point, label) arrays.
 
     lab is 0-based; label L marks outlier points.  Gaussian labels occur at
@@ -346,9 +349,7 @@ def _mstep_core(pts, lab, M, L, space, previous, sigma2_floor):
     for l in range(L):
         sel = pts[lab == l]
         if sel.shape[0]:
-            mu = np.median(sel, axis=0)
-            q25, q75 = np.percentile(sel, [25.0, 75.0], axis=0)
-            sigma2 = np.maximum(((q75 - q25) / IQR_TO_SIGMA) ** 2, sigma2_floor)
+            mu, sigma2 = _robust_moments(sel)
         else:
             mu = previous.components[l].mu.copy()
             sigma2 = previous.components[l].sigma2.copy()
@@ -361,7 +362,6 @@ def mstep_robust(
     allocations: list,
     L: int,
     previous: ApproxModel,
-    sigma2_floor: float = FitConfig.sigma2_floor,
 ) -> ApproxModel:
     """Robust parameter update given allocations.
 
@@ -375,7 +375,7 @@ def mstep_robust(
     if M == 0 or M != len(allocations):
         raise ModelError("samples and allocations must align and be nonempty")
     lab = _point_labels(samples, allocations, L) - 1
-    model, _ = _mstep_core(samples.points, lab, M, L, samples.space, previous, sigma2_floor)
+    model, _ = _mstep_core(samples.points, lab, M, L, samples.space, previous)
     return model
 
 
@@ -429,9 +429,7 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
         criterion = -joint_total
 
         lab = np.concatenate([Zg.reshape(-1) for Zg in Z])
-        new_model, counts = _mstep_core(
-            pts, lab, M, model.L, space, model, config.sigma2_floor
-        )
+        new_model, counts = _mstep_core(pts, lab, M, model.L, space, model)
 
         trace.criteria.append(criterion)
         trace.models.append(new_model)

@@ -37,6 +37,13 @@ class ModelError(ValueError):
     """Invalid model, sample, or allocation input."""
 
 
+def _check_int(name: str, value, least: int) -> None:
+    """Raise ModelError unless ``value`` is an integer >= ``least``; a bool
+    is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ModelError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -392,8 +399,7 @@ def labeled_joint_log_density(
 def _draw_columns(model: ApproxModel, size: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``size`` draws of the model as columns: the (P, d) points in record
     order, the (size,) count per record and the (P,) labels in 1..L+1."""
-    if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 0:
-        raise ModelError(f"size must be an integer >= 0, got {size!r}")
+    _check_int("size", size, 0)
     rng = np.random.default_rng(rng)
     L, d = model.L, model.space.dim
     lo, hi = model.space.bounds[:, 0], model.space.bounds[:, 1]

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .diagnostics import (
     reconstruction_error_db,
 )
 from .fit import FitConfig, sem_fit
-from .model import ModelError
+from .model import ModelError, _check_int
 from .sinusoid import SinChainConfig, design_matrix, generate_synthetic_signal, rjmcmc_run
 from .storage import _fmt, spawn_seeds, write_csv
 
@@ -72,15 +72,13 @@ class MonteCarloConfig:
     chain: dict = field(default_factory=dict)
     fit: dict = field(default_factory=dict)
     reconstruction_draws: int = 10_000
-    intervals: tuple = ((0.0, math.pi / 4), (math.pi / 4, math.pi / 2))
+    # the two frequency intervals whose expected counts each replicate records
+    intervals: ClassVar[tuple] = ((0.0, math.pi / 4), (math.pi / 4, math.pi / 2))
 
     def __post_init__(self):
         for name in ("replicates", "reconstruction_draws"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ModelError(f"{name} must be an integer of at least 1")
-        if not (isinstance(self.master_seed, numbers.Integral) and self.master_seed >= 0):
-            raise ModelError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
+            _check_int(name, getattr(self, name), 1)
+        _check_int("master_seed", self.master_seed, 0)
         if not all(isinstance(doc, dict) for doc in (self.signal, self.chain, self.fit)):
             raise ModelError("signal, chain and fit settings must be mappings")
         unknown = set(self.signal) - set(_PAPER_SIGNAL)

@@ -132,8 +132,8 @@ def pulse_cdf(t, shape: PulseShape = PulseShape()):
 
 def _muon_array(muons) -> np.ndarray:
     arr = np.asarray(muons, dtype=float).reshape(-1, 2)
-    if arr.size and np.any(arr[:, 1] <= 0.0):
-        raise ModelError("muon amplitudes must be positive")
+    if not (np.isfinite(arr).all() and (arr[:, 1] > 0.0).all()):
+        raise ModelError("muon arrivals and amplitudes must be finite, amplitudes positive")
     return arr
 
 
@@ -219,7 +219,6 @@ class AugerChainConfig:
     rate: float = 3.0
     birth_prob: float = 0.25
     death_prob: float = 0.25
-    update_prob: float = 0.5
     t_step: float = 20.0
     log_a_step: float = 0.3
     amp_alpha: float = 1.0

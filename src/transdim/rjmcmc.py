@@ -8,7 +8,7 @@ import numbers
 
 import numpy as np
 
-from .model import ModelError, ParamSpace, SampleSet
+from .model import ModelError, ParamSpace, SampleSet, _check_int
 
 __all__ = ["Chain", "run", "reflect", "check_chain_config"]
 
@@ -37,20 +37,17 @@ def reflect(x: float, lo: float, hi: float) -> float:
 
 def check_chain_config(config, *positive: str) -> None:
     """Raise ModelError for a bad shared chain setting (the seed included),
-    or for any field named in ``positive`` that is not finite and > 0."""
-    for name in ("iterations", "burn_in", "thinning", "k_max"):
-        if not isinstance(getattr(config, name), numbers.Integral):
-            raise ModelError(f"{name} must be an integer, got {getattr(config, name)!r}")
-    if not 0 <= config.burn_in < config.iterations:
-        raise ModelError("burn_in must satisfy 0 <= burn_in < iterations")
-    if config.thinning < 1 or config.k_max < 1:
-        raise ModelError("thinning and k_max must be at least 1")
-    seed = config.rng_seed
-    if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ModelError(f"rng_seed must be None or an integer >= 0, got {seed!r}")
-    probs = (config.birth_prob, config.death_prob, config.update_prob)
-    if not (all(p >= 0.0 for p in probs) and math.isclose(sum(probs), 1.0)):
-        raise ModelError("move probabilities must be nonnegative and sum to 1")
+    or for any field named in ``positive`` that is not finite and > 0.  The
+    update move takes the probability that birth and death leave."""
+    for name, least in (("iterations", 1), ("burn_in", 0), ("thinning", 1), ("k_max", 1)):
+        _check_int(name, getattr(config, name), least)
+    if config.burn_in >= config.iterations:
+        raise ModelError("burn_in must be below iterations")
+    if config.rng_seed is not None:
+        _check_int("rng_seed", config.rng_seed, 0)
+    birth, death = config.birth_prob, config.death_prob
+    if not (birth >= 0.0 and death >= 0.0 and birth + death <= 1.0):
+        raise ModelError("birth_prob and death_prob must be >= 0 with a sum of at most 1")
     for name in positive:
         value = getattr(config, name)
         if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):

@@ -37,6 +37,12 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
+# hyperpriors: delta2 ~ InvGamma(ALPHA_DELTA, BETA_DELTA) and the Poisson
+# rate ~ Gamma(ALPHA_RATE, BETA_RATE), shape and rate
+ALPHA_DELTA, BETA_DELTA = 2.0, 20.0
+ALPHA_RATE, BETA_RATE = 1.0, 1.0
+
+
 def sin_param_space() -> ParamSpace:
     """Frequency domain (0, pi) as a 1-d parameter box."""
     return ParamSpace(np.array([[0.0, math.pi]]))
@@ -74,24 +80,16 @@ class SinChainConfig:
     k_max: int = 20
     birth_prob: float = 0.25
     death_prob: float = 0.25
-    update_prob: float = 0.5
     rw_step: float = 0.01
     delta2_init: float = 20.0
     sample_delta2: bool = True
-    alpha_delta: float = 2.0
-    beta_delta: float = 20.0
     rate_init: float = 3.0
     sample_rate: bool = True
-    alpha_rate: float = 1.0
-    beta_rate: float = 1.0
     rng_seed: int = 0
     init_omega: tuple = ()
 
     def __post_init__(self):
-        rjmcmc.check_chain_config(
-            self, "rw_step", "delta2_init", "alpha_delta", "beta_delta",
-            "rate_init", "alpha_rate", "beta_rate",
-        )
+        rjmcmc.check_chain_config(self, "rw_step", "delta2_init", "rate_init")
         if len(self.init_omega) > self.k_max:
             raise ModelError("init_omega longer than k_max")
         if not all(0.0 < w < math.pi for w in self.init_omega):
@@ -334,7 +332,7 @@ class _SinChain(rjmcmc.Chain):
                 dev = lapack.dtrtrs(R, z)[0]
                 Da = D @ (mean + math.sqrt(sigma2 * shrink) * dev)
                 energy = float(Da @ Da)
-            self.delta2 = (cfg.beta_delta + 0.5 * energy / sigma2) / rng.gamma(cfg.alpha_delta + k)
+            self.delta2 = (BETA_DELTA + 0.5 * energy / sigma2) / rng.gamma(ALPHA_DELTA + k)
             if k:
                 shrink = self.delta2 / (1.0 + self.delta2)
                 data = -k * math.log1p(self.delta2) - 0.5 * N * math.log(yty - shrink * quad)
@@ -343,7 +341,7 @@ class _SinChain(rjmcmc.Chain):
             # conjugate-form proposal; the truncation of p(k | rate) at k_max
             # leaves a ratio of masses log P(Poisson(.) <= k_max) to correct for
             attempts["rate"] += 1
-            prop_rate = rng.gamma(cfg.alpha_rate + k, 1.0 / (cfg.beta_rate + 1.0))
+            prop_rate = rng.gamma(ALPHA_RATE + k, 1.0 / (BETA_RATE + 1.0))
             if prop_rate > 0:
                 log_norm_p = _log_trunc_series(prop_rate, cfg.k_max)
                 log_r = (-self.rate + self.log_norm) - (-prop_rate + log_norm_p)

@@ -144,6 +144,17 @@ def test_bad_muon_spec_is_data_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("muon", ["nan:50", "inf:50", "100:nan", "100:inf"])
+def test_non_finite_muon_is_data_error(tmp_path, capsys, muon):
+    # a non-finite arrival silently dropped the muon; a non-finite amplitude
+    # ended in a numpy traceback
+    out = tmp_path / "x"
+    rc = cli.main(["simulate-auger", "--seed", "1", "--muon", muon, "--out", str(out)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_auger_without_muons_or_file_is_data_error(tmp_path):
     rc = cli.main(["simulate-auger", "--seed", "1", "--out", str(tmp_path / "x")])
     assert rc == 2
@@ -365,6 +376,19 @@ def test_report_bad_interval_is_data_error(sin_run, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("interval", ["nan:1", "0.5:nan"])
+def test_report_nan_interval_is_data_error(sin_run, tmp_path, capsys, interval):
+    # NaN passed every ordering and box check and reached report.json
+    rc = cli.main(
+        ["report", "--model", str(sin_run / "model.json"),
+         "--samples", str(sin_run / "draws.samples"),
+         "--outdir", str(tmp_path / "r"), "--interval", interval]
+    )
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
 @pytest.mark.parametrize("flags", [["--hist-bins", "0"], ["--grid-points", "-1"], ["--grid-points", "0"]])
 def test_report_counts_below_one_are_data_errors(sin_run, tmp_path, capsys, flags):
     rc = cli.main(
@@ -566,6 +590,9 @@ def test_montecarlo_config_rejects_counts_below_one(field):
         ({"fit": {"iterations": 2.5, "averaging_window": 1}}, []),
         ({"signal": {"n": 1}}, []),
         ({"signal": {"k": 2}}, []),
+        ({"reconstruction_draws": True}, []),
+        ({"replicates": True}, []),
+        ({"chain": {"update_prob": 0.5}}, []),
     ],
 )
 def test_montecarlo_cli_bad_settings_are_data_errors(tmp_path, config, flags):

@@ -158,9 +158,11 @@ def test_empirical_count_validation():
         empirical_count_interval(ss, [[0.0, 1.0]])
 
 
-@pytest.mark.parametrize("box", [[[0.5, 0.2]], [[-1.0, 2.0]], [[0.2, 1.5]]])
+@pytest.mark.parametrize("box", [[[0.5, 0.2]], [[-1.0, 2.0]], [[0.2, 1.5]],
+                                 [[math.nan, 1.0]], [[0.2, math.nan]], [[math.nan, math.nan]]])
 def test_both_interval_counts_reject_reversed_or_outside_intervals(box):
-    # reversed bounds, and bounds reaching outside the unit box
+    # reversed bounds, bounds reaching outside the unit box, and NaN bounds,
+    # which every comparison lets through
     model = make_model([0.5], [0.01], [0.6], 0.3)
     ss = build_set([[0.3], [0.4, 0.9]])
     with pytest.raises(ModelError):
@@ -385,7 +387,7 @@ def test_high_snr_chain_reconstruction_is_accurate():
     sig = generate_synthetic_signal(1, [0.73], [20.0], [math.pi / 3], 20.0, 64, seed=2)
     cfg = SinChainConfig(
         iterations=8_000, burn_in=1_000, k_max=1,
-        birth_prob=0.0, death_prob=0.0, update_prob=1.0,
+        birth_prob=0.0, death_prob=0.0,
         rw_step=0.02, delta2_init=50.0, sample_delta2=False,
         rate_init=1.0, sample_rate=False, rng_seed=8, init_omega=(0.7,),
     )

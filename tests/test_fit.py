@@ -410,7 +410,7 @@ def test_mstep_applies_variance_floor():
     ss = as_sampleset(space, [np.array([[0.5]])] * 4)
     allocs = [AllocationVector(np.array([1]))] * 4
     prev = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [0.5], 0.1)
-    model = mstep_robust(ss, allocs, 1, prev, sigma2_floor=1e-10)
+    model = mstep_robust(ss, allocs, 1, prev)
     assert model.components[0].sigma2[0] == 1e-10
 
 
@@ -589,8 +589,6 @@ def test_fit_config_validation():
         {"init_lambda": -1.0},
         {"init_lambda": math.inf},
         {"init_lambda": math.nan},
-        {"sigma2_floor": math.inf},
-        {"sigma2_floor": math.nan},
     ],
 )
 def test_fit_config_rejects_settings_that_crash_or_mean_nothing(settings):

@@ -89,7 +89,7 @@ CASES = {
     "sin-uneven-moves": (
         "three-tones",
         dict(iterations=2000, burn_in=200, thinning=1, birth_prob=0.3, death_prob=0.2,
-             update_prob=0.5, rng_seed=20),
+             rng_seed=20),
         dict(samples=1800, rejected=0, digest="15514f3fd7b6e165",
              k_counts=[0, 46, 1188, 508, 58],
              rates=(0.046052631578947366, 0.06435643564356436, 0.5725581395348838, 1.0),
@@ -126,7 +126,7 @@ CASES = {
     "muon-uneven-moves": (
         "two-muons",
         dict(iterations=2000, burn_in=200, thinning=1, birth_prob=0.2, death_prob=0.35,
-             update_prob=0.45, rng_seed=21),
+             rng_seed=21),
         dict(samples=1800, rejected=0, digest="6d303b2918598180",
              k_counts=[0, 0, 88, 474, 642, 378, 165, 46, 7],
              rates=(0.4401041666666667, 0.24198250728862974, 0.4823497709512261)),

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from transdim.fit import FitConfig
 from transdim.model import (
     AllocationVector,
     ApproxModel,
@@ -29,7 +30,10 @@ from transdim.model import (
     model_intensity,
     sample_batch_from_model,
 )
+from transdim.montecarlo import MonteCarloConfig
+from transdim.muons import AugerChainConfig
 from transdim.oracle import enumerate_allocations, exact_allocation_log_posterior, unlabeled_log_density
+from transdim.sinusoid import SinChainConfig
 
 
 def make_model(bounds, mus, sigma2s, pis, lam):
@@ -601,3 +605,45 @@ def test_model_validation():
         ApproxModel(space, [], -0.5)
     with pytest.raises(ModelError):
         ApproxModel(space, [GaussianComponent(np.array([0.5, 0.5]), np.array([0.1, 0.1]), 0.5)], 0.1)
+
+
+# ---------------------------------------------------------------------------
+# integer settings
+# ---------------------------------------------------------------------------
+
+
+def _draw(size):
+    return _draw_columns(ApproxModel(ParamSpace(np.array([[0.0, 1.0]])), [], 0.5), size, 0)
+
+
+_INTEGER_FIELDS = [
+    (SinChainConfig, "iterations"), (SinChainConfig, "burn_in"), (SinChainConfig, "thinning"),
+    (SinChainConfig, "k_max"), (SinChainConfig, "rng_seed"),
+    (AugerChainConfig, "iterations"), (AugerChainConfig, "burn_in"),
+    (AugerChainConfig, "thinning"), (AugerChainConfig, "k_max"), (AugerChainConfig, "rng_seed"),
+    (FitConfig, "iterations"), (FitConfig, "imh_inner_steps"), (FitConfig, "averaging_window"),
+    (FitConfig, "rng_seed"), (FitConfig, "fixed_L"),
+    (MonteCarloConfig, "replicates"), (MonteCarloConfig, "master_seed"),
+    (MonteCarloConfig, "reconstruction_draws"), (_draw, "size"),
+]
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("make, name", _INTEGER_FIELDS,
+                         ids=[f"{make.__name__}.{name}" for make, name in _INTEGER_FIELDS])
+def test_integer_settings_reject_booleans(make, name, value):
+    with pytest.raises(ModelError, match=name):
+        make(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name", [
+    (SinChainConfig, "update_prob"), (AugerChainConfig, "update_prob"),
+    (SinChainConfig, "alpha_delta"), (SinChainConfig, "beta_delta"),
+    (SinChainConfig, "alpha_rate"), (SinChainConfig, "beta_rate"),
+    (FitConfig, "sigma2_floor"), (MonteCarloConfig, "intervals"),
+])
+def test_settings_that_are_constants_cannot_be_set(cls, name):
+    # the update move takes what birth and death leave; the hyperpriors, the
+    # variance floor and the replication intervals are module constants
+    with pytest.raises(TypeError, match=name):
+        cls(**{name: 0.5})

@@ -134,6 +134,17 @@ def test_expected_counts_rejects_bad_amplitude():
         expected_bin_counts(np.array([[50.0, -2.0]]), geometry(10))
 
 
+@pytest.mark.parametrize("muon", [(math.nan, 50.0), (math.inf, 50.0), (-math.inf, 50.0),
+                                  (100.0, math.nan), (100.0, math.inf)])
+def test_non_finite_muons_are_refused(muon):
+    # a non-finite arrival gave zero bin masses, so the muon vanished; a
+    # non-finite amplitude reached the Poisson draw
+    with pytest.raises(ModelError, match="finite"):
+        expected_bin_counts([(60.0, 4.0), muon], geometry(10))
+    with pytest.raises(ModelError, match="finite"):
+        simulate_pe_signal([muon], 10, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Poisson bin likelihood
 # ---------------------------------------------------------------------------
@@ -225,7 +236,7 @@ def test_simulate_is_deterministic_and_plausible():
 
 def test_chain_config_validation():
     with pytest.raises(ModelError):
-        AugerChainConfig(birth_prob=0.4, death_prob=0.4, update_prob=0.4)
+        AugerChainConfig(birth_prob=0.6, death_prob=0.5)
     with pytest.raises(ModelError):
         AugerChainConfig(iterations=10, burn_in=10)
     with pytest.raises(ModelError):
@@ -276,7 +287,7 @@ def test_fixed_k_arrival_posterior_matches_closed_form():
     sig = simulate_pe_signal([(210.0, 80.0)], 20, seed=5)
     cfg = AugerChainConfig(
         iterations=30_000, burn_in=3_000,
-        birth_prob=0.0, death_prob=0.0, update_prob=1.0,
+        birth_prob=0.0, death_prob=0.0,
         init_muons=((100.0, 20.0),), rng_seed=9, t_step=8.0, log_a_step=0.15,
     )
     ss = rjmcmc_run_auger(sig, cfg)

@@ -46,7 +46,7 @@ def test_chain_without_death_move_never_grows(sampler):
     }[sampler]
     ss = _sampler_run(
         sampler, signal, iterations=2_000, burn_in=100,
-        birth_prob=0.5, death_prob=0.0, update_prob=0.5, rng_seed=2, **prior,
+        birth_prob=0.5, death_prob=0.0, rng_seed=2, **prior,
     )
     # births are irreversible here, so the sampler must refuse them all
     assert set(ss.k_values().tolist()) == {0}

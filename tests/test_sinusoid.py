@@ -287,18 +287,16 @@ def test_birth_then_death_restores_state_exactly():
 
 def test_chain_config_validation():
     with pytest.raises(ModelError):
-        SinChainConfig(birth_prob=0.5, death_prob=0.5, update_prob=0.5)
+        SinChainConfig(birth_prob=0.6, death_prob=0.5)
     with pytest.raises(ModelError):
         SinChainConfig(iterations=100, burn_in=100)
     with pytest.raises(ModelError):
         SinChainConfig(k_max=2, init_omega=(0.3, 0.6, 0.9))
-    # a bad setting must fail here: inside the chain, beta_rate=-1 is a
-    # ZeroDivisionError and alpha_delta=-5 a numpy ValueError
+    # a bad setting must fail here, before any sampling
     for bad in (
-        {"beta_rate": -1.0}, {"alpha_delta": -5.0}, {"rw_step": 0.0},
-        {"beta_delta": math.nan}, {"alpha_rate": math.inf}, {"delta2_init": math.inf},
+        {"rw_step": 0.0}, {"delta2_init": math.inf},
         {"thinning": math.nan}, {"iterations": 1e3}, {"k_max": 0},
-        {"birth_prob": math.nan, "update_prob": 0.75}, {"init_omega": (0.5, math.pi)},
+        {"birth_prob": math.nan}, {"init_omega": (0.5, math.pi)},
     ):
         with pytest.raises(ModelError):
             SinChainConfig(**bad)
@@ -359,7 +357,7 @@ def fixed_k_run():
     sig = generate_synthetic_signal(1, [0.73], [20.0], [math.pi / 3], 7.0, 64, seed=2)
     cfg = SinChainConfig(
         iterations=20_000, burn_in=2_000, thinning=1, k_max=1,
-        birth_prob=0.0, death_prob=0.0, update_prob=1.0,
+        birth_prob=0.0, death_prob=0.0,
         rw_step=0.02, delta2_init=50.0, sample_delta2=False,
         rate_init=1.0, sample_rate=False, rng_seed=8, init_omega=(0.6,),
     )
