@@ -17,7 +17,6 @@ from .model import (
     SampleSet,
     _component_log_mass,
     _draw_columns,
-    _log_interval_mass,
     _point_labels,
     model_intensity,
 )
@@ -105,14 +104,8 @@ def expected_count_interval(model: ApproxModel, interval) -> float:
     box = _validate_interval(model.space, interval)
     widths = box[:, 1] - box[:, 0]
     total = model.lam * float(np.prod(widths / model.space.widths))
-    if model.L:
-        mus, sig = model.mus(), np.sqrt(model.sigma2s())
-        alpha = (box[:, 0] - mus) / sig
-        beta = (box[:, 1] - mus) / sig
-        log_num = _log_interval_mass(alpha, beta).sum(axis=1)
-        log_in_box = _component_log_mass(model).sum(axis=1)
-        total += float(np.sum(model.pis() * np.exp(log_num - log_in_box)))
-    return total
+    log_share = _component_log_mass(model, box).sum(axis=1) - _component_log_mass(model).sum(axis=1)
+    return total + float(np.sum(model.pis() * np.exp(log_share)))
 
 
 def empirical_count_interval(samples: SampleSet, interval) -> float:
@@ -198,10 +191,7 @@ def reconstruct_bma(samples: SampleSet, y: np.ndarray, delta2: float) -> np.ndar
     shrink = delta2 / (1.0 + delta2)
     acc = np.zeros(N)
     used = 0
-    for k, idx, block in samples.by_k():
-        if k == 0:
-            used += idx.size  # the empty model reconstructs the zero signal
-            continue
+    for k, _, block in samples.by_k():
         stacked = block[:, :, 0]
         for start in range(0, stacked.shape[0], _CHUNK):
             W = stacked[start : start + _CHUNK]

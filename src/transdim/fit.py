@@ -211,15 +211,12 @@ def _log_weights(points: np.ndarray, model: ApproxModel) -> np.ndarray:
     """
     n, k, d = points.shape
     L = model.L
-    if k == 0:
-        return np.zeros((n, 0, L + 1))
     with np.errstate(divide="ignore"):
-        log_pi = np.log(model.pis()) if L else np.zeros(0)
+        log_pi = np.log(model.pis())
     log_out = (math.log(model.lam) if model.lam > 0 else -np.inf) - model.space.log_volume
     out = np.empty((n, k, L + 1))
-    if L:
-        logN = _gaussian_log_densities(points.reshape(n * k, d), model).reshape(n, k, L)
-        out[:, :, :L] = logN + log_pi
+    logN = _gaussian_log_densities(points.reshape(n * k, d), model).reshape(n, k, L)
+    out[:, :, :L] = logN + log_pi
     out[:, :, L] = log_out
     return out
 
@@ -408,9 +405,6 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
 
     Z = []  # 0-based labels per group
     for k, idx, P in groups:
-        if k == 0:
-            Z.append(np.zeros((idx.size, 0), dtype=np.int64))
-            continue
         logw = _log_weights(P, model)
         order = np.argsort(rng.random((idx.size, k)), axis=1)
         gumbel = -np.log(-np.log(rng.random((idx.size, k, model.L + 1))))
@@ -438,7 +432,7 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
 
         L_old = new_model.L
         keep = counts[:L_old] >= config.prune_threshold
-        if L_old and not np.all(keep):
+        if not np.all(keep):
             for l in np.flatnonzero(~keep):
                 ev = PruneEvent(iteration=r, component=int(l), allocated=int(counts[l]))
                 pruned_log.append(ev)
@@ -471,14 +465,10 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
     else:
         win = usable[-config.averaging_window:]
         snaps = [trace.models[i] for i in win]
-        L = snaps[-1].L
-        if L:
-            mu = np.mean([s.mus() for s in snaps], axis=0)
-            sigma2 = np.mean([s.sigma2s() for s in snaps], axis=0)
-            pis = np.mean([s.pis() for s in snaps], axis=0)
-            comps = [GaussianComponent(mu[l], sigma2[l], float(pis[l])) for l in range(L)]
-        else:
-            comps = []
+        mu = np.mean([s.mus() for s in snaps], axis=0)
+        sigma2 = np.mean([s.sigma2s() for s in snaps], axis=0)
+        pis = np.mean([s.pis() for s in snaps], axis=0)
+        comps = [GaussianComponent(mu[l], sigma2[l], float(pis[l])) for l in range(snaps[-1].L)]
         final = ApproxModel(space, comps, float(np.mean([s.lam for s in snaps])))
 
     labels = np.empty(samples.points.shape[0], dtype=np.int64)

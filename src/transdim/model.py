@@ -135,8 +135,10 @@ class GaussianComponent:
         self.sigma2 = np.asarray(self.sigma2, dtype=float).reshape(-1)
         if self.mu.shape != self.sigma2.shape:
             raise ModelError("mu and sigma2 must have the same length")
-        if np.any(self.sigma2 <= 0):
-            raise ModelError("sigma2 must be positive componentwise")
+        if not np.isfinite(self.mu).all():
+            raise ModelError("mu must be finite")
+        if not ((self.sigma2 > 0) & (self.sigma2 < math.inf)).all():
+            raise ModelError("sigma2 must be finite and positive componentwise")
         if not (0.0 <= self.pi <= 1.0):
             raise ModelError(f"pi must lie in [0, 1], got {self.pi}")
 
@@ -150,8 +152,8 @@ class ApproxModel:
     lam: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ModelError(f"lam must be nonnegative, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ModelError(f"lam must be finite and nonnegative, got {self.lam}")
         for comp in self.components:
             if comp.mu.shape[0] != self.space.dim:
                 raise ModelError("component dimension does not match the space")
@@ -162,14 +164,10 @@ class ApproxModel:
 
     def mus(self) -> np.ndarray:
         """Stacked means, shape (L, d)."""
-        if not self.components:
-            return np.zeros((0, self.space.dim))
-        return np.stack([c.mu for c in self.components])
+        return np.array([c.mu for c in self.components], dtype=float).reshape(-1, self.space.dim)
 
     def sigma2s(self) -> np.ndarray:
-        if not self.components:
-            return np.zeros((0, self.space.dim))
-        return np.stack([c.sigma2 for c in self.components])
+        return np.array([c.sigma2 for c in self.components], dtype=float).reshape(-1, self.space.dim)
 
     def pis(self) -> np.ndarray:
         return np.array([c.pi for c in self.components])
@@ -278,14 +276,12 @@ def _log_interval_mass(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.where(la == lb, -np.inf, out)
 
 
-def _component_log_mass(model: ApproxModel) -> np.ndarray:
-    """Per-component, per-dimension log box mass, shape (L, d)."""
-    if model.L == 0:
-        return np.zeros((0, model.space.dim))
+def _component_log_mass(model: ApproxModel, box: np.ndarray | None = None) -> np.ndarray:
+    """Per-component, per-dimension log mass of a (d, 2) box, by default the
+    model's own, shape (L, d)."""
     mus = model.mus()
     sig = np.sqrt(model.sigma2s())
-    lo = model.space.bounds[:, 0]
-    hi = model.space.bounds[:, 1]
+    lo, hi = (model.space.bounds if box is None else box).T
     return _log_interval_mass((lo - mus) / sig, (hi - mus) / sig)
 
 
@@ -301,8 +297,6 @@ def _gaussian_log_densities(points: np.ndarray, model: ApproxModel) -> np.ndarra
     (..., L) array of log densities.
     """
     pts = np.asarray(points, dtype=float)
-    if model.L == 0:
-        return np.zeros(pts.shape[:-1] + (0,))
     mus = model.mus()
     sig2 = model.sigma2s()
     log_mass = _component_log_mass(model)
@@ -367,7 +361,7 @@ def labeled_joint_log_density(
     """Joint log density of a sample together with its allocation."""
     if x.k != z.k:
         raise ModelError(f"sample has k={x.k} but allocation has k={z.k}")
-    if x.k and not bool(np.all(model.space.contains(x.components))):
+    if not np.all(model.space.contains(x.components)):
         raise ModelError("sample has components outside the parameter box")
     L = model.L
     xi = indicator_from_allocation(z, L)
@@ -377,14 +371,12 @@ def labeled_joint_log_density(
         if model.lam == 0.0:
             return -np.inf
         out += n_out * (math.log(model.lam) - model.space.log_volume)
-    if x.k:
-        gauss = z.labels <= L
-        if np.any(gauss):
-            dens = _gaussian_log_densities(x.components[gauss], model)
-            picked = dens[np.arange(int(gauss.sum())), z.labels[gauss] - 1]
-            # canonical summation order: exact invariance under permuting
-            # the (theta_j, z_j) pairs
-            out += float(np.sort(picked).sum())
+    gauss = z.labels <= L
+    dens = _gaussian_log_densities(x.components[gauss], model)
+    picked = dens[np.arange(int(gauss.sum())), z.labels[gauss] - 1]
+    # canonical summation order: exact invariance under permuting the
+    # (theta_j, z_j) pairs
+    out += float(np.sort(picked).sum())
     pis = model.pis()
     present = xi[:L] == 1
     with np.errstate(divide="ignore"):
@@ -404,7 +396,7 @@ def _draw_columns(model: ApproxModel, size: int, rng) -> tuple[np.ndarray, np.nd
     L, d = model.L, model.space.dim
     lo, hi = model.space.bounds[:, 0], model.space.bounds[:, 1]
     pis = model.pis()
-    present = rng.random((size, L)) < pis if L else np.zeros((size, 0), dtype=bool)
+    present = rng.random((size, L)) < pis
     n_out = rng.poisson(model.lam, size=size)
     k = present.sum(axis=1) + n_out
     k_max = int(k.max()) if size else 0
@@ -415,24 +407,21 @@ def _draw_columns(model: ApproxModel, size: int, rng) -> tuple[np.ndarray, np.nd
     fill = np.zeros(size, dtype=np.int64)
     for l in range(L):
         rows = np.flatnonzero(present[:, l])
-        if rows.size == 0:
-            continue
         u = rng.random((rows.size, d))
         draws = _truncated_normal_draws(mus[l], sig[l], lo, hi, u)
         points[rows, fill[rows]] = draws
         labels[rows, fill[rows]] = l + 1
         fill[rows] += 1
     total_out = int(n_out.sum())
-    if total_out:
-        unif = lo + rng.random((total_out, d)) * (hi - lo)
-        rows = np.repeat(np.arange(size), n_out)
-        # positions fill[row], fill[row]+1, ... within each row
-        offsets = np.arange(total_out) - np.repeat(np.cumsum(n_out) - n_out, n_out)
-        points[rows, fill[rows] + offsets] = unif
-        labels[rows, fill[rows] + offsets] = L + 1
+    unif = lo + rng.random((total_out, d)) * (hi - lo)
+    rows = np.repeat(np.arange(size), n_out)
+    # positions fill[row], fill[row]+1, ... within each row
+    offsets = np.arange(total_out) - np.repeat(np.cumsum(n_out) - n_out, n_out)
+    points[rows, fill[rows] + offsets] = unif
+    labels[rows, fill[rows] + offsets] = L + 1
 
     # uniform random arrangement of the k points in each row
-    keys = rng.random((size, k_max)) if k_max else np.zeros((size, 0))
+    keys = rng.random((size, k_max))
     keys[np.arange(k_max) >= k[:, None]] = np.inf
     order = np.argsort(keys, axis=1)
     points = np.take_along_axis(points, order[:, :, None], axis=1)
@@ -466,10 +455,6 @@ def model_intensity(theta: np.ndarray, model: ApproxModel) -> np.ndarray | float
     scalar = theta.ndim == 1
     if not np.all(model.space.contains(theta)):
         raise ModelError("theta lies outside the parameter box")
-    if model.L == 0:
-        vals = np.zeros(theta.shape[:-1])
-    else:
-        dens = np.exp(_gaussian_log_densities(theta, model))
-        vals = dens @ model.pis()
+    vals = np.exp(_gaussian_log_densities(theta, model)) @ model.pis()
     return float(vals) if scalar else vals
 

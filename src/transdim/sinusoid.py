@@ -48,6 +48,13 @@ def sin_param_space() -> ParamSpace:
     return ParamSpace(np.array([[0.0, math.pi]]))
 
 
+def _check_band(omega: np.ndarray) -> None:
+    """Raise ModelError unless every frequency lies strictly inside (0, pi);
+    NaN does not."""
+    if not np.all((omega > 0.0) & (omega < math.pi)):
+        raise ModelError("frequencies must lie strictly inside (0, pi)")
+
+
 @dataclass
 class SinusoidSignal:
     """Observed series plus, for synthetic data, the generating truth."""
@@ -64,8 +71,7 @@ class SinusoidSignal:
             raise ModelError("signal must contain at least two samples")
         if self.true_omega is not None:
             self.true_omega = np.asarray(self.true_omega, dtype=float).reshape(-1)
-            if np.any((self.true_omega <= 0) | (self.true_omega >= math.pi)):
-                raise ModelError("frequencies must lie strictly inside (0, pi)")
+            _check_band(self.true_omega)
 
     @property
     def N(self) -> int:
@@ -107,10 +113,9 @@ def design_matrix(omega: np.ndarray, N: int) -> np.ndarray:
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     k = omega.shape[-1]
     D = np.empty(omega.shape[:-1] + (N, 2 * k))
-    if k:
-        phase = np.arange(N)[:, None] * omega[..., None, :]
-        D[..., 0::2] = np.cos(phase)
-        D[..., 1::2] = np.sin(phase)
+    phase = np.arange(N)[:, None] * omega[..., None, :]
+    D[..., 0::2] = np.cos(phase)
+    D[..., 1::2] = np.sin(phase)
     return D
 
 
@@ -133,8 +138,18 @@ def _batched_design(W: np.ndarray, N: int) -> np.ndarray:
     return out.reshape(n, 2 * k, S * B)[..., :N]
 
 
+def _data_term(k: int, N: int, yty: float, quad: float, delta2: float) -> float:
+    """-k log(1+delta2) - N/2 log(y'P y) with y'P y = y'y - delta2/(1+delta2)
+    quad, quad = y'D (D'D)^-1 D'y; -inf when y'P y <= 0, where the
+    frequencies fit the signal exactly."""
+    ypy = yty - delta2 / (1.0 + delta2) * quad
+    if ypy <= 0.0:
+        return -np.inf
+    return -k * math.log1p(delta2) - 0.5 * N * math.log(ypy)
+
+
 def _data_part(omega: np.ndarray, y: np.ndarray, delta2: float):
-    """(-k log(1+delta2) - N/2 log(y'P y), design factor) for sorted omega.
+    """(:func:`_data_term`, design factor) for sorted omega.
 
     The factor is (D, R, ahat, D'y ahat), R the upper Cholesky factor of D'D
     (LAPACK called directly, as cho_factor does) and ahat = (D'D)^-1 D'y the
@@ -147,7 +162,7 @@ def _data_part(omega: np.ndarray, y: np.ndarray, delta2: float):
     yty = float(y @ y)
     k = omega.size
     if k == 0:
-        return -0.5 * N * math.log(yty), None
+        return _data_term(0, N, yty, 0.0, delta2), None
     if omega[0] <= 0.0 or omega[-1] >= math.pi:
         return -np.inf, None
     D = design_matrix(omega, N)
@@ -158,12 +173,7 @@ def _data_part(omega: np.ndarray, y: np.ndarray, delta2: float):
     Dty = D.T @ y
     ahat = lapack.dpotrs(R, Dty)[0]
     quad = float(Dty @ ahat)
-    fac = D, R, ahat, quad
-    shrink = delta2 / (1.0 + delta2)
-    ypy = yty - shrink * quad
-    if ypy <= 0.0:
-        return -np.inf, fac
-    return -k * math.log1p(delta2) - 0.5 * N * math.log(ypy), fac
+    return _data_term(k, N, yty, quad, delta2), (D, R, ahat, quad)
 
 
 def _log_trunc_series(rate: float, k_max: int) -> float:
@@ -175,15 +185,14 @@ def _log_trunc_series(rate: float, k_max: int) -> float:
     return float(m + math.log(np.exp(terms - m).sum()))
 
 
-def _log_k_prior(k: int, rate: float, k_max: int) -> float:
-    """Log pmf of a Poisson(rate) truncated to {0..k_max}, plus the uniform
+_LOG_PI = math.log(math.pi)
+
+
+def _log_k_prior(k: int, rate: float, log_norm: float) -> float:
+    """Log pmf at k <= k_max of a Poisson(rate) truncated to {0..k_max},
+    log_norm being ``_log_trunc_series(rate, k_max)``, plus the uniform
     frequency prior factor k*log(1/pi)."""
-    if k > k_max:
-        return -np.inf
-    return (
-        k * math.log(rate) - float(gammaln(k + 1)) - _log_trunc_series(rate, k_max)
-        - k * math.log(math.pi)
-    )
+    return k * math.log(rate) - float(gammaln(k + 1)) - log_norm - k * _LOG_PI
 
 
 def log_target_marginal(
@@ -199,8 +208,10 @@ def log_target_marginal(
     if omega.size != k:
         raise ModelError(f"k={k} but {omega.size} frequencies given")
     y = np.asarray(y, dtype=float).reshape(-1)
+    if k > k_max:
+        return -np.inf
     data, _ = _data_part(omega, y, delta2)
-    return data + _log_k_prior(k, rate, k_max)
+    return data + _log_k_prior(k, rate, _log_trunc_series(rate, k_max))
 
 
 def log_marginal_likelihood(omega, y, delta2: float) -> float:
@@ -223,21 +234,25 @@ def generate_synthetic_signal(
     The j-th sinusoid is sqrt(A_j) cos(omega_j t + phi_j), i.e. amplitude
     pair (sqrt(A_j) cos(-phi_j), sqrt(A_j) sin(-phi_j)); the noise variance
     is set from the in-band energy so that |Da|^2 / (N sigma2) hits the
-    requested SNR.  Pass snr_db=inf for a noiseless signal.
+    requested SNR.  Pass snr_db=inf for a noiseless signal; NaN and -inf
+    are refused.
     """
     omega = np.asarray(omega, dtype=float).reshape(-1)
     energies = np.asarray(energies, dtype=float).reshape(-1)
     phases = np.asarray(phases, dtype=float).reshape(-1)
     if not (omega.size == energies.size == phases.size == k):
         raise ModelError("omega, energies, phases must all have length k")
-    if np.any(energies <= 0):
-        raise ModelError("energies must be positive")
+    _check_band(omega)
+    if not (np.all((energies > 0.0) & (energies < math.inf)) and np.isfinite(phases).all()):
+        raise ModelError("energies must be finite and positive, phases finite")
+    if not -math.inf < snr_db <= math.inf:
+        raise ModelError(f"snr_db must be a number above -inf, got {snr_db!r}")
     amp = np.empty(2 * k)
     amp[0::2] = np.sqrt(energies) * np.cos(-phases)
     amp[1::2] = np.sqrt(energies) * np.sin(-phases)
     D = design_matrix(omega, N)
     clean = D @ amp
-    if math.isinf(snr_db):
+    if snr_db == math.inf:
         sigma2 = 0.0
         y = clean
     else:
@@ -251,9 +266,6 @@ def generate_synthetic_signal(
 # ---------------------------------------------------------------------------
 # Chain moves
 # ---------------------------------------------------------------------------
-
-
-_LOG_PI = math.log(math.pi)
 
 
 class _SinChain(rjmcmc.Chain):
@@ -270,10 +282,8 @@ class _SinChain(rjmcmc.Chain):
         omega = np.sort(np.asarray(config.init_omega, dtype=float))
         self.delta2, self.rate = config.delta2_init, config.rate_init
         self.state = (omega, *_data_part(omega, self.y, self.delta2))
-        # cached terms of _log_k_prior: the normaliser at self.rate and log j!
-        self.log_norm = _log_trunc_series(self.rate, config.k_max)
-        self.log_fact = gammaln(np.arange(config.k_max + 1) + 1)
-        self.singular = 0
+        self.log_norm = _log_trunc_series(self.rate, config.k_max)  # at self.rate
+        self.singular = self.records = 0
         self.delta2_sum = self.rate_sum = 0.0
 
     def _score(self, omega: np.ndarray):
@@ -291,16 +301,12 @@ class _SinChain(rjmcmc.Chain):
     def death(self, index, log_q):
         return self._jump(np.delete(self.state[0], index), log_q, -_LOG_PI)
 
-    def _log_k_prior(self, k: int) -> float:
-        """``_log_k_prior(k, rate, k_max)`` from the cached terms, same operations."""
-        return k * math.log(self.rate) - float(self.log_fact[k]) - self.log_norm - k * _LOG_PI
-
     def _jump(self, prop, log_q, log_pi):
         """Birth or death to ``prop``; log_pi is the frequency prior's +-log(pi)."""
         omega, data, _ = self.state
         data_p, fac_p = self._score(prop)
-        log_r = (data_p - data + self._log_k_prior(prop.size)
-                 - self._log_k_prior(omega.size) + log_q + log_pi)
+        log_r = (data_p - data + _log_k_prior(prop.size, self.rate, self.log_norm)
+                 - _log_k_prior(omega.size, self.rate, self.log_norm) + log_q + log_pi)
         return log_r, (prop, data_p, fac_p)
 
     def update(self, j):
@@ -333,10 +339,11 @@ class _SinChain(rjmcmc.Chain):
                 Da = D @ (mean + math.sqrt(sigma2 * shrink) * dev)
                 energy = float(Da @ Da)
             self.delta2 = (BETA_DELTA + 0.5 * energy / sigma2) / rng.gamma(ALPHA_DELTA + k)
-            if k:
-                shrink = self.delta2 / (1.0 + self.delta2)
-                data = -k * math.log1p(self.delta2) - 0.5 * N * math.log(yty - shrink * quad)
-                self.state = (omega, data, fac)
+            data = _data_term(k, N, yty, quad, self.delta2)
+            if data == -np.inf:
+                raise ModelError(f"the {k} frequencies fit the signal exactly at delta2 = "
+                                 f"{self.delta2:.3g}: the noise variance has no proper posterior")
+            self.state = (omega, data, fac)
         if cfg.sample_rate:
             # conjugate-form proposal; the truncation of p(k | rate) at k_max
             # leaves a ratio of masses log P(Poisson(.) <= k_max) to correct for
@@ -352,11 +359,11 @@ class _SinChain(rjmcmc.Chain):
     def record(self):
         self.delta2_sum += self.delta2
         self.rate_sum += self.rate
+        self.records += 1
         return self.state[0].reshape(-1, 1).copy()
 
     def extras(self):
-        cfg = self.config
-        n = len(range(cfg.burn_in, cfg.iterations, cfg.thinning))  # records taken
+        n = self.records
         return {"mean_delta2": self.delta2_sum / n, "mean_rate": self.rate_sum / n,
                 "singular_proposals": self.singular, "N": self.y.size}
 

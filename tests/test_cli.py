@@ -8,6 +8,7 @@ point is wiring, not inference quality.
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -331,6 +332,23 @@ def test_report_invalid_allocation_labels_are_data_errors(tmp_path, text):
     assert rc == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("mu", [math.nan]), ("sigma2", [math.inf]), ("lam", math.nan), ("lam", math.inf),
+])
+def test_report_non_finite_model_is_data_error(tmp_path, capsys, key, value):
+    space = ParamSpace(np.array([[0.0, 1.0]]))
+    write_samples(SampleSet.ingest(space, [np.array([[0.5]])]), tmp_path / "s.samples")
+    write_model(ApproxModel(space, [GaussianComponent([0.5], [0.01], 0.5)], 0.5), tmp_path / "m.json")
+    doc = json.loads((tmp_path / "m.json").read_text())
+    (doc if key == "lam" else doc["components"][0])[key] = value
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    rc = cli.main(["report", "--model", str(tmp_path / "m.json"), "--samples", str(tmp_path / "s.samples"),
+                   "--outdir", str(tmp_path / "r")])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
 def test_report_checks_allocation_labels_before_reconstruction(sin_run, tmp_path, monkeypatch):
     samples = read_samples(sin_run / "draws.samples")
     bad = read_model(sin_run / "model.json").L + 2
@@ -593,6 +611,11 @@ def test_montecarlo_config_rejects_counts_below_one(field):
         ({"reconstruction_draws": True}, []),
         ({"replicates": True}, []),
         ({"chain": {"update_prob": 0.5}}, []),
+        ({"signal": {"snr_db": math.nan}}, []),
+        ({"signal": {"snr_db": -math.inf}}, []),
+        ({"signal": {"omega": [0.63, 0.68, math.nan]}}, []),
+        ({"signal": {"energies": [20.0, math.inf, 20.0]}}, []),
+        ({"signal": {"phases": [0.0, math.nan, 0.0]}}, []),
     ],
 )
 def test_montecarlo_cli_bad_settings_are_data_errors(tmp_path, config, flags):

@@ -31,6 +31,8 @@ from transdim.model import (
     ModelError,
     ParamSpace,
     SampleSet,
+    _component_log_mass,
+    _gaussian_log_densities,
     model_intensity,
     sample_batch_from_model,
 )
@@ -127,6 +129,15 @@ def test_interval_count_empty_and_validation():
         expected_count_interval(model, [[-0.1, 0.5]])
     with pytest.raises(ModelError):
         expected_count_interval(model, [[0.6, 0.5]])
+
+
+def test_empty_model_counts_only_the_point_process():
+    # L = 0: no Gaussian terms, so the count is lam times the volume share
+    space = ParamSpace(np.array([[0.0, 2.0], [1.0, 3.0]]))
+    model = ApproxModel(space, [], 0.8)
+    assert expected_count_interval(model, [[0.5, 1.5], [1.0, 2.0]]) == 0.8 * 0.25
+    assert _gaussian_log_densities(np.full((3, 4, 2), 1.5), model).shape == (3, 4, 0)
+    assert _component_log_mass(model).shape == (0, 2)
 
 
 def test_interval_count_additive():

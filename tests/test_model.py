@@ -607,6 +607,16 @@ def test_model_validation():
         ApproxModel(space, [GaussianComponent(np.array([0.5, 0.5]), np.array([0.1, 0.1]), 0.5)], 0.1)
 
 
+@pytest.mark.parametrize("mu, sigma2, lam", [
+    ([math.nan], [0.1], 0.1), ([-math.inf], [0.1], 0.1), ([0.5], [math.nan], 0.1),
+    ([0.5], [math.inf], 0.1), ([0.5], [0.1], math.nan), ([0.5], [0.1], math.inf),
+])
+def test_model_parameters_must_be_finite(mu, sigma2, lam):
+    space = ParamSpace(np.array([[0.0, 1.0]]))
+    with pytest.raises(ModelError, match="finite"):
+        ApproxModel(space, [GaussianComponent(mu, sigma2, 0.5)], lam)
+
+
 # ---------------------------------------------------------------------------
 # integer settings
 # ---------------------------------------------------------------------------

@@ -125,15 +125,13 @@ class _CheckedAuger(muons._AugerChain):
 
 
 class _CheckedSin(sinusoid._SinChain):
-    """Checks the cached prior terms and data part after every iteration."""
+    """Checks the cached prior normaliser and data part after every iteration."""
 
     def refresh(self, attempts, accepts):
         super().refresh(attempts, accepts)
         (omega, data, fac), k_max = self.state, self.config.k_max
         self.ks.add(omega.size)
         assert self.log_norm == sinusoid._log_trunc_series(self.rate, k_max)
-        for k in range(k_max + 1):
-            assert self._log_k_prior(k) == sinusoid._log_k_prior(k, self.rate, k_max)
         fresh, fresh_fac = sinusoid._data_part(omega, self.y, self.delta2)
         assert data == fresh
         if omega.size:

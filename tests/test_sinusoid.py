@@ -227,6 +227,15 @@ def test_synthetic_infinite_snr_is_noiseless():
     assert sig.true_sigma2 == 0.0
 
 
+def test_exact_fit_of_noiseless_signal_is_model_error():
+    # delta2 climbs to ~1e16 until y'Py rounds to <= 0 in the delta2
+    # refresh, which then raised "math domain error"
+    sig = generate_synthetic_signal(1, [1.0], [4.0], [0.3], math.inf, 64, seed=0)
+    cfg = SinChainConfig(iterations=3000, burn_in=100, init_omega=(1.0,), rng_seed=0)
+    with pytest.raises(ModelError, match="exactly"):
+        rjmcmc_run(sig, cfg)
+
+
 def test_synthetic_phase_convention():
     sig = generate_synthetic_signal(1, [1.0], [1.0], [0.0], math.inf, 8, seed=0)
     np.testing.assert_allclose(sig.true_amplitudes, [1.0, 0.0], atol=1e-15)
