@@ -121,13 +121,9 @@ def pulse_cdf(t, shape: PulseShape = PulseShape()):
     arr = np.asarray(t, dtype=float)
     tau = shape.decay
     c = shape.rise_time * tau / (shape.rise_time + tau)
-    out = np.zeros_like(arr)
-    m = arr > 0.0
-    tm = arr[m]
-    out[m] = (c * np.expm1(-tm / c) - tau * np.expm1(-tm / tau)) / shape.norm
-    if np.isscalar(t) or arr.ndim == 0:
-        return float(out)
-    return out
+    tm = np.maximum(arr, 0.0)  # +0.0 for t <= 0; NaN stays NaN
+    out = (c * np.expm1(-tm / c) - tau * np.expm1(-tm / tau)) / shape.norm
+    return float(out) if arr.ndim == 0 else out
 
 
 def _muon_array(muons) -> np.ndarray:
@@ -140,15 +136,18 @@ def _muon_array(muons) -> np.ndarray:
 def _unit_masses(times, edges: np.ndarray, shape: PulseShape) -> np.ndarray:
     """Bin masses of unit-amplitude muons, one row per arrival time, clamped
     so that a sum of contributions is exactly that of the combined set."""
-    return np.maximum(np.diff(pulse_cdf(edges - np.reshape(times, (-1, 1)), shape), axis=1), 0.0)
+    cdf = pulse_cdf(edges - np.reshape(times, (-1, 1)), shape)
+    return np.maximum(cdf[:, 1:] - cdf[:, :-1], 0.0)
 
 
 def _canonical_sum(times, amps, masses) -> np.ndarray:
-    """Sum of ``amps[i] * masses[i]`` in (arrival, amplitude) order."""
-    out = np.zeros(masses.shape[1])
-    for i in np.lexsort((amps, times)):
-        out += amps[i] * masses[i]
-    return out
+    """Sum of ``amps[i] * masses[i]`` in (arrival, amplitude) order, added
+    one row at a time onto zeros, as a fresh array (not a view that would
+    keep the (k + 1, n) buffer alive)."""
+    o = np.lexsort((amps, times))
+    terms = np.zeros((o.size + 1, masses.shape[1]))
+    np.multiply(amps[o, None], masses[o], out=terms[1:])
+    return np.add.accumulate(terms, axis=0)[-1].copy()
 
 
 def expected_bin_counts(
@@ -179,8 +178,7 @@ def log_likelihood_pe(counts, expected) -> float:
         raise ModelError(f"length mismatch: {n.shape} counts vs {nbar.shape} means")
     if np.any(nbar < 0.0):
         raise ModelError("bin means must be nonnegative")
-    with np.errstate(divide="ignore"):
-        return float(np.sum(xlogy(n, nbar)) - np.sum(nbar) - np.sum(gammaln(n + 1.0)))
+    return float(np.sum(xlogy(n, nbar)) - np.sum(nbar) - np.sum(gammaln(n + 1.0)))
 
 
 def simulate_pe_signal(
@@ -273,8 +271,7 @@ class _AugerChain(rjmcmc.Chain):
     def _loglik(self, rows: np.ndarray) -> float:
         """``log_likelihood_pe(counts, expected_bin_counts(muons))``, same operations."""
         nbar = _canonical_sum(rows[:, 0], rows[:, 1], rows[:, 2:])
-        with np.errstate(divide="ignore"):
-            return float(xlogy(self.n, nbar).sum() - nbar.sum() - self.log_n_fact)
+        return float(xlogy(self.n, nbar).sum() - nbar.sum() - self.log_n_fact)
 
     def birth(self, log_q):
         # new muon from the priors; prior and proposal densities cancel.  The

@@ -69,6 +69,8 @@ class SinusoidSignal:
         self.y = np.asarray(self.y, dtype=float).reshape(-1)
         if self.y.size < 2:
             raise ModelError("signal must contain at least two samples")
+        if not np.all(np.isfinite(self.y)):
+            raise ModelError("signal samples must be finite")
         if self.true_omega is not None:
             self.true_omega = np.asarray(self.true_omega, dtype=float).reshape(-1)
             _check_band(self.true_omega)

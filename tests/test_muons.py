@@ -76,6 +76,17 @@ def test_pulse_cdf_limits_and_monotonicity():
     assert np.all(np.diff(grid) >= 0.0)
 
 
+def test_pulse_cdf_is_positive_zero_before_arrival_and_propagates_nan():
+    # the clamp at 0 gives +0.0, never -0.0, for every t <= 0
+    before = np.array([-math.inf, -1e300, -3.0, -5e-324, -0.0, 0.0])
+    assert not np.any(pulse_cdf(before)) and not np.any(np.signbit(pulse_cdf(before)))
+    assert all(pulse_cdf(t) == 0.0 and not np.signbit(pulse_cdf(t)) for t in before)
+    # NaN in, NaN out; no muon function reaches it, since _muon_array
+    # refuses a non-finite arrival
+    assert math.isnan(pulse_cdf(math.nan))
+    assert np.isnan(pulse_cdf(np.array([1.0, math.nan]))[1])
+
+
 # ---------------------------------------------------------------------------
 # expected bin counts
 # ---------------------------------------------------------------------------
@@ -127,6 +138,51 @@ def test_expected_counts_permutation_invariant_bitwise():
         np.testing.assert_array_equal(expected_bin_counts(list(perm), sig), base)
 
 
+def _reference_expected_bin_counts(muons, signal, shape):
+    """Reference forward model: masked pulse CDF, np.diff mass rows, and a
+    Python loop adding a * m onto zeros in lexsort order."""
+    arr = np.asarray(muons, dtype=float).reshape(-1, 2)
+    tau = shape.decay
+    c = shape.rise_time * tau / (shape.rise_time + tau)
+    x = signal.edges() - arr[:, :1]
+    cdf = np.zeros_like(x)
+    m = x > 0.0
+    cdf[m] = (c * np.expm1(-x[m] / c) - tau * np.expm1(-x[m] / tau)) / shape.norm
+    masses = np.maximum(np.diff(cdf, axis=1), 0.0)
+    out = np.zeros(signal.n_bins)
+    for i in np.lexsort((arr[:, 1], arr[:, 0])):
+        out += arr[i, 1] * masses[i]
+    return out, cdf
+
+
+def test_expected_counts_bytewise_equal_to_reference():
+    rng = np.random.default_rng(20261019)
+    for _ in range(3000):
+        shape = PulseShape(rise_time=rng.uniform(0.5, 40.0), decay=rng.uniform(5.0, 150.0))
+        sig = geometry(int(rng.integers(1, 41)), rng.uniform(-50.0, 50.0), rng.uniform(1.0, 40.0))
+        lo, hi = sig.window
+        k = int(rng.integers(0, 12))
+        # arrivals up to 100 ns before t0 and past the window's end
+        pairs = np.column_stack([rng.uniform(lo - 100.0, hi + 100.0, k),
+                                 rng.gamma(1.0, 30.0, k) + 1e-3])
+        if k >= 3:
+            pairs[1, 0] = pairs[0, 0]  # tied arrival, its own amplitude
+            if rng.random() < 0.5:
+                pairs[2] = pairs[0]  # tied (arrival, amplitude) pair
+        ref, ref_cdf = _reference_expected_bin_counts(pairs, sig, shape)
+        got = expected_bin_counts(pairs, sig, shape)
+        assert got.tobytes() == ref.tobytes()
+        assert pulse_cdf(sig.edges() - pairs[:, :1], shape).tobytes() == ref_cdf.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 6])
+def test_expected_counts_is_a_fresh_vector(k):
+    # a view into the summation buffer would keep the whole (k + 1, n) array alive
+    out = expected_bin_counts([(40.0 * i, 5.0 + i) for i in range(k)], geometry(17))
+    assert out.shape == (17,)
+    assert out.flags.owndata and out.base is None
+
+
 def test_expected_counts_rejects_bad_amplitude():
     with pytest.raises(ModelError):
         expected_bin_counts([(50.0, 0.0)], geometry(10))
@@ -163,6 +219,17 @@ def test_likelihood_single_bin_value():
 def test_likelihood_impossible_observation():
     assert log_likelihood_pe([1], [0.0]) == -np.inf
     assert log_likelihood_pe([0, 3], [2.0, 0.0]) == -np.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_log_of_zero_mean_sets_no_floating_point_flag():
+    # xlogy(n, 0) is -inf for n > 0 without raising numpy's divide flag, so
+    # the likelihood and the chain's copy of it need no errstate guard
+    with np.errstate(all="raise"):
+        assert log_likelihood_pe([1, 0], [0.0, 0.0]) == -np.inf
+        sig = PECountSignal(np.array([2, 0, 1]))
+        chain = muons._AugerChain(sig, AugerChainConfig(rng_seed=0))
+        assert chain._loglik(np.zeros((0, 2 + sig.n_bins))) == -np.inf
 
 
 def test_likelihood_matches_poisson_pmf():

@@ -258,6 +258,16 @@ def test_signal_validation():
         SinusoidSignal(np.ones(8), true_omega=np.array([0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_signal_is_refused(bad):
+    # without the check the chain failed later with "initial state has zero
+    # posterior density", which does not name the cause
+    y = np.sin(0.7 * np.arange(16))
+    y[3] = bad
+    with pytest.raises(ModelError, match="finite"):
+        SinusoidSignal(y)
+
+
 # ---------------------------------------------------------------------------
 # chain state helpers
 # ---------------------------------------------------------------------------
