@@ -15,7 +15,6 @@ from transdim.diagnostics import (
     approx_posterior_k,
     empirical_count_interval,
     expected_count_interval,
-    intensity_curve,
 )
 from transdim.fit import FitConfig, sem_fit
 from transdim.model import (
@@ -23,6 +22,7 @@ from transdim.model import (
     GaussianComponent,
     ParamSpace,
     SampleSet,
+    model_intensity,
     sample_batch_from_model,
 )
 
@@ -76,8 +76,8 @@ for lo, hi in [(0.25, 0.35), (0.6, 0.8), (0.0, 1.0)]:
 # Finally the intensity function, i.e. the expected number of points per
 # unit length.  Integrated absolute error is a stringent whole-curve gap.
 grid = np.linspace(0.0, 1.0, 2001)
-gap = np.trapezoid(np.abs(intensity_curve(truth, grid) - intensity_curve(fit, grid)),
-                   grid)
+true_curve = model_intensity(grid[:, None], truth)
+gap = np.trapezoid(np.abs(true_curve - model_intensity(grid[:, None], fit)), grid)
 print(f"\nintegrated |intensity gap| over (0, 1): {gap:.4f} points")
 print("(for scale: the true intensity integrates to "
-      f"{np.trapezoid(intensity_curve(truth, grid), grid):.3f} points)")
+      f"{np.trapezoid(true_curve, grid):.3f} points)")

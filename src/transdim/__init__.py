@@ -14,8 +14,6 @@ from .model import (
     ParamSpace,
     SampleSet,
     VariableDimSample,
-    indicator_from_allocation,
-    labeled_joint_log_density,
     model_intensity,
 )
 from .muons import (
@@ -49,8 +47,6 @@ __all__ = [
     "SinusoidSignal",
     "VariableDimSample",
     "generate_synthetic_signal",
-    "indicator_from_allocation",
-    "labeled_joint_log_density",
     "model_intensity",
     "rjmcmc_run",
     "rjmcmc_run_auger",

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import diagnostics, montecarlo, storage
 from .fit import FitConfig, sem_fit
-from .model import ModelError
+from .model import ModelError, model_intensity
 from .muons import AugerChainConfig, PECountSignal, PulseShape, rjmcmc_run_auger, simulate_pe_signal
 from .sinusoid import SinChainConfig, design_matrix, generate_synthetic_signal, rjmcmc_run
 
@@ -223,7 +223,7 @@ def _cmd_report(args) -> int:
     if model.space.dim == 1:
         lo, hi = model.space.bounds[0]
         grid = np.linspace(lo, hi, args.grid_points)
-        curve = diagnostics.intensity_curve(model, grid)
+        curve = model_intensity(grid[:, None], model)
         storage.write_csv(out / "intensity.csv", ["theta", "intensity"],
                           ([_fmt(x), _fmt(v)] for x, v in zip(grid, curve)))
     if "residuals" in report:

@@ -18,7 +18,6 @@ from .model import (
     _component_log_mass,
     _draw_columns,
     _point_labels,
-    model_intensity,
 )
 from .sinusoid import _batched_design
 
@@ -28,7 +27,6 @@ __all__ = [
     "empirical_count_interval",
     "residuals",
     "bma_histogram_intensity",
-    "intensity_curve",
     "reconstruct_bma",
     "reconstruct_from_model",
     "reconstruction_error_db",
@@ -156,16 +154,6 @@ def bma_histogram_intensity(
     counts, edges = np.histogram(samples.points[:, dim], bins=bins, range=tuple(samples.space.bounds[dim]))
     heights = counts / (len(samples) * np.diff(edges))
     return heights, edges
-
-
-def intensity_curve(model: ApproxModel, grid: np.ndarray) -> np.ndarray:
-    """Component intensity of the fitted model on a grid of points."""
-    g = np.asarray(grid, dtype=float)
-    if g.ndim == 1:
-        if model.space.dim != 1:
-            raise ModelError("1-d grid given for a multivariate model")
-        g = g[:, None]
-    return np.asarray(model_intensity(g, model))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 __all__ = [
     "ParamSpace",
@@ -24,8 +24,6 @@ __all__ = [
     "GaussianComponent",
     "ApproxModel",
     "SampleSet",
-    "indicator_from_allocation",
-    "labeled_joint_log_density",
     "sample_batch_from_model",
     "model_intensity",
 ]
@@ -322,7 +320,8 @@ def _truncated_normal_draws(
 
 def _label_counts(labels: np.ndarray, rows: np.ndarray, n: int, L: int) -> np.ndarray:
     """(n, L+1) count of each 1-based label in each of n records, ``rows``
-    naming each point's record; checked as :func:`indicator_from_allocation`."""
+    naming each point's record.  Raises if a label is out of range or a
+    Gaussian label repeats within a record (no valid labeling then)."""
     if labels.size and (labels.min() < 1 or labels.max() > L + 1):
         raise ModelError(f"labels must lie in 1..{L + 1}")
     counts = np.bincount(rows * (L + 1) + labels - 1, minlength=n * (L + 1)).reshape(n, L + 1)
@@ -332,19 +331,9 @@ def _label_counts(labels: np.ndarray, rows: np.ndarray, n: int, L: int) -> np.nd
     return counts
 
 
-def indicator_from_allocation(z: AllocationVector, L: int) -> np.ndarray:
-    """Count how many points each label received: an (L+1,) array whose last
-    entry counts the outlier points.
-
-    Raises if a label is out of range or a Gaussian label repeats (the
-    allocation is then not a valid labeling).
-    """
-    return _label_counts(z.labels, np.zeros(z.k, dtype=np.int64), 1, L)[0]
-
-
 def _point_labels(samples: SampleSet, allocations: list, L: int) -> np.ndarray:
     """The 1-based labels of ``samples.points`` from one AllocationVector per
-    record, each checked as :func:`indicator_from_allocation` checks it."""
+    record, each checked by :func:`_label_counts`."""
     if len(allocations) != len(samples):
         raise ModelError("allocations do not align with the sample set")
     wrong = np.flatnonzero(np.array([z.k for z in allocations], dtype=np.int64) != samples.k)
@@ -353,39 +342,6 @@ def _point_labels(samples: SampleSet, allocations: list, L: int) -> np.ndarray:
     labels = np.concatenate([z.labels for z in allocations] or [np.zeros(0, dtype=np.int64)])
     _label_counts(labels, np.repeat(np.arange(len(samples)), samples.k), len(samples), L)
     return labels
-
-
-def labeled_joint_log_density(
-    x: VariableDimSample, z: AllocationVector, model: ApproxModel
-) -> float:
-    """Joint log density of a sample together with its allocation."""
-    if x.k != z.k:
-        raise ModelError(f"sample has k={x.k} but allocation has k={z.k}")
-    if not np.all(model.space.contains(x.components)):
-        raise ModelError("sample has components outside the parameter box")
-    L = model.L
-    xi = indicator_from_allocation(z, L)
-    n_out = int(xi[L])
-    out = -model.lam - float(gammaln(x.k + 1))
-    if n_out > 0:
-        if model.lam == 0.0:
-            return -np.inf
-        out += n_out * (math.log(model.lam) - model.space.log_volume)
-    gauss = z.labels <= L
-    dens = _gaussian_log_densities(x.components[gauss], model)
-    picked = dens[np.arange(int(gauss.sum())), z.labels[gauss] - 1]
-    # canonical summation order: exact invariance under permuting the
-    # (theta_j, z_j) pairs
-    out += float(np.sort(picked).sum())
-    pis = model.pis()
-    present = xi[:L] == 1
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(pis)
-        log_1m = np.log1p(-pis)
-    term = np.where(present, log_pi, log_1m)
-    if np.any(np.isneginf(term)):
-        return -np.inf
-    return out + float(term.sum())
 
 
 def _draw_columns(model: ApproxModel, size: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -452,9 +408,10 @@ def model_intensity(theta: np.ndarray, model: ApproxModel) -> np.ndarray | float
     point (d,) or a batch (..., d).
     """
     theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 1
+    if theta.ndim == 0 or theta.shape[-1] != model.space.dim:
+        raise ModelError(f"theta must have shape (..., {model.space.dim}), got {theta.shape}")
     if not np.all(model.space.contains(theta)):
         raise ModelError("theta lies outside the parameter box")
     vals = np.exp(_gaussian_log_densities(theta, model)) @ model.pis()
-    return float(vals) if scalar else vals
+    return float(vals) if theta.ndim == 1 else vals
 

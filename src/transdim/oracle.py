@@ -13,19 +13,14 @@ import math
 
 import numpy as np
 from scipy import integrate
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
-from .model import (
-    AllocationVector,
-    ApproxModel,
-    ModelError,
-    VariableDimSample,
-    labeled_joint_log_density,
-)
+from .model import ApproxModel, ModelError, _gaussian_log_densities, _label_counts
 from .muons import PulseShape, pulse_density
 from .sinusoid import design_matrix
 
 __all__ = [
+    "labeled_joint_log_density",
     "enumerate_allocations",
     "exact_allocation_log_posterior",
     "unlabeled_log_density",
@@ -33,6 +28,37 @@ __all__ = [
     "quadrature_log_marginal",
     "pulse_bin_quadrature",
 ]
+
+
+def labeled_joint_log_density(points, labels, model: ApproxModel) -> float:
+    """Joint log density of one record's (k, d) points together with their
+    labels z_1..z_k in 1..L+1, label L+1 being the point process."""
+    x = np.asarray(points, dtype=float)
+    z = np.asarray(labels, dtype=np.int64).reshape(-1)
+    k, L = z.size, model.L
+    if x.shape != (k, model.space.dim):
+        raise ModelError(f"need ({k}, {model.space.dim}) points for {k} labels, got {x.shape}")
+    if not np.all(model.space.contains(x)):
+        raise ModelError("sample has components outside the parameter box")
+    counts = _label_counts(z, np.zeros(k, dtype=np.int64), 1, L)[0]
+    n_out = int(counts[L])
+    out = -model.lam - float(gammaln(k + 1))
+    if n_out > 0:
+        if model.lam == 0.0:
+            return -np.inf
+        out += n_out * (math.log(model.lam) - model.space.log_volume)
+    gauss = z <= L
+    dens = _gaussian_log_densities(x[gauss], model)
+    picked = dens[np.arange(int(gauss.sum())), z[gauss] - 1]
+    # canonical summation order: exact invariance under permuting the
+    # (theta_j, z_j) pairs
+    out += float(np.sort(picked).sum())
+    pis = model.pis()
+    with np.errstate(divide="ignore"):
+        term = np.where(counts[:L] == 1, np.log(pis), np.log1p(-pis))
+    if np.any(np.isneginf(term)):
+        return -np.inf
+    return out + float(term.sum())
 
 
 def enumerate_allocations(k: int, L: int):
@@ -43,31 +69,30 @@ def enumerate_allocations(k: int, L: int):
             yield combo
 
 
-def _enumerated_joint(x: VariableDimSample, model: ApproxModel):
-    """Every allocation of x, its joint log density, and their log-sum-exp."""
-    zs = list(enumerate_allocations(x.k, model.L))
-    logs = np.array(
-        [labeled_joint_log_density(x, AllocationVector(np.array(z, dtype=np.int64)), model) for z in zs]
-    )
+def _enumerated_joint(points, model: ApproxModel):
+    """Every allocation of the (k, d) points, its joint log density, and
+    their log-sum-exp."""
+    zs = list(enumerate_allocations(len(points), model.L))
+    logs = np.array([labeled_joint_log_density(points, z, model) for z in zs])
     m = logs.max()
     if not np.isfinite(m):
         return zs, logs, -np.inf
     return zs, logs, float(m + math.log(np.exp(np.sort(logs) - m).sum()))
 
 
-def exact_allocation_log_posterior(
-    x: VariableDimSample, model: ApproxModel
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """All allocations of x with normalized log posterior probabilities."""
-    zs, logs, norm = _enumerated_joint(x, model)
+def exact_allocation_log_posterior(points, model: ApproxModel) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """All allocations of the (k, d) points with normalized log posterior
+    probabilities."""
+    zs, logs, norm = _enumerated_joint(points, model)
     if not np.isfinite(norm):
         raise ModelError("sample has zero density under the model")
     return zs, logs - norm
 
 
-def unlabeled_log_density(x: VariableDimSample, model: ApproxModel) -> float:
-    """Log density of x, marginalized over allocations by direct enumeration."""
-    return _enumerated_joint(x, model)[2]
+def unlabeled_log_density(points, model: ApproxModel) -> float:
+    """Log density of the (k, d) points, marginalized over allocations by
+    direct enumeration."""
+    return _enumerated_joint(points, model)[2]
 
 
 def gate_count_law(pis) -> np.ndarray:

@@ -19,13 +19,10 @@ from transdim import cli
 from transdim.diagnostics import approx_posterior_k
 from transdim.fit import FitConfig, imh_batch_step, sem_fit
 from transdim.model import (
-    AllocationVector,
     ApproxModel,
     GaussianComponent,
     ParamSpace,
     SampleSet,
-    VariableDimSample,
-    labeled_joint_log_density,
     sample_batch_from_model,
 )
 from transdim.montecarlo import MonteCarloConfig, run_monte_carlo
@@ -40,6 +37,7 @@ from transdim.muons import (
 from transdim.oracle import (
     exact_allocation_log_posterior,
     gate_count_law,
+    labeled_joint_log_density,
     pulse_bin_quadrature,
     quadrature_log_marginal,
     unlabeled_log_density,
@@ -100,20 +98,19 @@ def test_labeled_density_matches_generative_draws(capsys):
         return 0.25 * (bx - ax) * (by - ay) * total
 
     def f_sum(v):
-        return math.exp(unlabeled_log_density(VariableDimSample([[v]]), model))
+        return math.exp(unlabeled_log_density(np.array([[v]]), model))
 
     def f_lab(v, lab):
-        return math.exp(labeled_joint_log_density(
-            VariableDimSample([[v]]), AllocationVector([lab]), model))
+        return math.exp(labeled_joint_log_density(np.array([[v]]), [lab], model))
 
     def f_pair(a, b):
-        return math.exp(unlabeled_log_density(VariableDimSample([[a], [b]]), model))
+        return math.exp(unlabeled_log_density(np.array([[a], [b]]), model))
 
     pts, labs = sample_batch_from_model(model, n, np.random.default_rng(4))
     ks = np.fromiter((p.shape[0] for p in pts), dtype=np.int64, count=n)
 
     # empty-sample cell
-    p0 = math.exp(unlabeled_log_density(VariableDimSample(np.zeros((0, 1))), model))
+    p0 = math.exp(unlabeled_log_density(np.zeros((0, 1)), model))
     worst = abs(np.mean(ks == 0) - p0) / math.sqrt(p0 * (1 - p0) / n)
     cells = 1
 
@@ -160,14 +157,14 @@ def test_labeled_density_matches_generative_draws(capsys):
 def test_allocation_transitions_preserve_exact_conditional(capsys):
     t0 = time.perf_counter()
     model = _reference_model()
-    x = VariableDimSample([[0.32], [0.68]])
+    x = np.array([[0.32], [0.68]])
     zs, logp = exact_allocation_log_posterior(x, model)
     exact = {z: math.exp(v) for z, v in zip(zs, logp)}
 
     chains, steps = 100, 1000
     rng = np.random.default_rng(7)
     labels = np.full((chains, 2), 3, dtype=np.int64)  # start everything outlier
-    points = np.repeat(x.components[None], chains, axis=0)
+    points = np.repeat(x[None], chains, axis=0)
     counts = {}
     for _ in range(steps):
         labels, _, _ = imh_batch_step(points, labels, model, rng)

@@ -16,7 +16,6 @@ from transdim.diagnostics import (
     bma_histogram_intensity,
     empirical_count_interval,
     expected_count_interval,
-    intensity_curve,
     reconstruct_bma,
     reconstruct_from_model,
     reconstruction_error_db,
@@ -298,14 +297,14 @@ def test_histogram_dim_selection_for_pairs():
     assert e_t[-1] == 1000.0 and e_a[-1] == 100.0
 
 
-def test_intensity_curve_wraps_model_intensity():
+def test_intensity_curve_on_a_grid_integrates_to_the_gate():
     model = make_model([0.4], [0.01], [0.7], 0.2)
     grid = np.linspace(0.0, 1.0, 101)
-    np.testing.assert_array_equal(
-        intensity_curve(model, grid), model_intensity(grid[:, None], model)
-    )
+    curve = model_intensity(grid[:, None], model)
+    assert curve.shape == (101,)
+    np.testing.assert_array_equal(curve, [model_intensity(np.array([t]), model) for t in grid])
     fine = np.linspace(0.0, 1.0, 20001)
-    integral = np.trapezoid(intensity_curve(model, fine), fine)
+    integral = np.trapezoid(model_intensity(fine[:, None], model), fine)
     assert integral == pytest.approx(0.7, abs=1e-4)
 
 
@@ -314,8 +313,10 @@ def test_intensity_curve_multivariate_needs_matrix_grid():
     comp = GaussianComponent(np.array([0.5, 0.5]), np.array([0.01, 0.01]), 0.5)
     model = ApproxModel(space, [comp], 0.0)
     with pytest.raises(ModelError):
-        intensity_curve(model, np.linspace(0, 1, 5))
-    out = intensity_curve(model, np.tile([[0.5, 0.5]], (3, 1)))
+        model_intensity(np.linspace(0, 1, 5), model)
+    with pytest.raises(ModelError):
+        model_intensity(np.linspace(0, 1, 5)[:, None], model)
+    out = model_intensity(np.tile([[0.5, 0.5]], (3, 1)), model)
     assert out.shape == (3,)
 
 

@@ -33,12 +33,11 @@ from transdim.model import (
     ModelError,
     ParamSpace,
     SampleSet,
-    VariableDimSample,
-    indicator_from_allocation,
-    labeled_joint_log_density,
+    _label_counts,
+    _point_labels,
     sample_batch_from_model,
 )
-from transdim.oracle import exact_allocation_log_posterior
+from transdim.oracle import exact_allocation_log_posterior, labeled_joint_log_density
 
 
 def make_model(bounds, mus, sigma2s, pis, lam):
@@ -150,9 +149,7 @@ def test_imh_empty_sample_is_identity(ambiguous_model):
     Z1, accepted, joint = imh_batch_step(P, Z, ambiguous_model, 0)
     assert Z1.shape == (1, 0)
     assert np.all(accepted)
-    ref = labeled_joint_log_density(
-        VariableDimSample(np.zeros((0, 1))), AllocationVector(np.array([], dtype=int)), ambiguous_model
-    )
+    ref = labeled_joint_log_density(np.zeros((0, 1)), [], ambiguous_model)
     assert joint[0] == pytest.approx(ref, rel=1e-12)
 
 
@@ -174,14 +171,14 @@ def _tv(freqs: dict, exact: dict) -> float:
 def test_imh_one_step_preserves_exact_conditional(ambiguous_model):
     """Start 1e5 replicates at the exact allocation conditional, apply one
     transition, and require the state law to stay put (TV below 0.02)."""
-    x = VariableDimSample(np.array([[0.45], [0.58]]))
+    x = np.array([[0.45], [0.58]])
     zs, logp = exact_allocation_log_posterior(x, ambiguous_model)
     probs = np.exp(logp)
     rng = np.random.default_rng(17)
     n = 100_000
     draw = rng.choice(len(zs), size=n, p=probs)
     Z0 = np.array(zs, dtype=np.int64)[draw]
-    P = np.broadcast_to(x.components, (n, 2, 1)).copy()
+    P = np.broadcast_to(x, (n, 2, 1)).copy()
     Z1, _, _ = imh_batch_step(P, Z0, ambiguous_model, rng)
     uniq, counts = np.unique(Z1, axis=0, return_counts=True)
     freqs = {tuple(u): c / n for u, c in zip(uniq, counts)}
@@ -192,12 +189,12 @@ def test_imh_one_step_preserves_exact_conditional(ambiguous_model):
 def test_imh_long_run_occupancy_matches_enumeration(ambiguous_model):
     """A single-sample chain visits the three reachable allocations with the
     exact conditional frequencies (over 1e5 pooled transitions)."""
-    x = VariableDimSample(np.array([[0.52]]))
+    x = np.array([[0.52]])
     zs, logp = exact_allocation_log_posterior(x, ambiguous_model)
     exact = {z[0]: p for z, p in zip(zs, np.exp(logp))}
     rng = np.random.default_rng(29)
     chains, steps, burn = 500, 220, 20
-    P = np.broadcast_to(x.components, (chains, 1, 1)).copy()
+    P = np.broadcast_to(x, (chains, 1, 1)).copy()
     Z = np.full((chains, 1), 3, dtype=np.int64)  # start everything at the sink
     occupancy = np.zeros(4)
     for t in range(steps):
@@ -214,8 +211,7 @@ def test_imh_outputs_stay_valid_allocations(ambiguous_model):
     Z = np.full((200, 3), 3, dtype=np.int64)
     for _ in range(10):
         Z, _, _ = imh_batch_step(P, Z, ambiguous_model, rng)
-        for row in Z:
-            indicator_from_allocation(AllocationVector(row), 2)
+        _label_counts(Z.reshape(-1), np.repeat(np.arange(200), 3), 200, 2)
 
 
 def test_imh_forced_sink_when_rate_is_zero():
@@ -236,9 +232,7 @@ def test_batch_joint_matches_reference_density(ambiguous_model):
     Z = np.full((50, 2), 3, dtype=np.int64)
     Z1, _, joint = imh_batch_step(P, Z, ambiguous_model, rng)
     for i in range(50):
-        ref = labeled_joint_log_density(
-            VariableDimSample(P[i]), AllocationVector(Z1[i]), ambiguous_model
-        )
+        ref = labeled_joint_log_density(P[i], Z1[i], ambiguous_model)
         assert joint[i] == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
@@ -429,7 +423,8 @@ def test_sem_fit_criterion_negates_joint_density():
     result = sem_fit(ss, cfg)
     start = initialize_model(ss, cfg)
     expected = -sum(
-        labeled_joint_log_density(x, z, start) for x, z in zip(ss.samples, result.allocations)
+        labeled_joint_log_density(x.components, z.labels, start)
+        for x, z in zip(ss.samples, result.allocations)
     )
     assert result.trace.criteria[0] == pytest.approx(expected, rel=1e-12)
 
@@ -502,9 +497,7 @@ def test_fit_criterion_stabilizes(recovery_fit):
 def test_fit_final_allocations_are_valid(recovery_fit):
     _, ss, result = recovery_fit
     assert len(result.allocations) == len(ss)
-    for x, z in zip(ss.samples, result.allocations):
-        assert z.k == x.k
-        indicator_from_allocation(z, result.trace.models[-1].L)
+    _point_labels(ss, result.allocations, result.trace.models[-1].L)
 
 
 def test_fit_is_deterministic_given_seed():

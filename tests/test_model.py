@@ -16,23 +16,25 @@ from scipy import integrate, stats
 
 from transdim.fit import FitConfig
 from transdim.model import (
-    AllocationVector,
     ApproxModel,
     GaussianComponent,
     ModelError,
     ParamSpace,
     SampleSet,
-    VariableDimSample,
     _draw_columns,
     _gaussian_log_densities,
-    indicator_from_allocation,
-    labeled_joint_log_density,
+    _label_counts,
     model_intensity,
     sample_batch_from_model,
 )
 from transdim.montecarlo import MonteCarloConfig
 from transdim.muons import AugerChainConfig
-from transdim.oracle import enumerate_allocations, exact_allocation_log_posterior, unlabeled_log_density
+from transdim.oracle import (
+    enumerate_allocations,
+    exact_allocation_log_posterior,
+    labeled_joint_log_density,
+    unlabeled_log_density,
+)
 from transdim.sinusoid import SinChainConfig
 
 
@@ -51,28 +53,31 @@ def truncnorm_pdf(x, mu, sigma, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# indicator_from_allocation
+# label counts of one record: the (L+1,) indicator, last entry the outliers
 # ---------------------------------------------------------------------------
 
 
+def indicator(labels, L):
+    labels = np.asarray(labels, dtype=np.int64)
+    return _label_counts(labels, np.zeros(labels.size, dtype=np.int64), 1, L)[0]
+
+
 def test_indicator_empty_sample():
-    xi = indicator_from_allocation(AllocationVector(np.array([], dtype=int)), L=2)
-    assert xi.tolist() == [0, 0, 0]
+    assert indicator([], L=2).tolist() == [0, 0, 0]
 
 
 def test_indicator_counts_labels():
-    xi = indicator_from_allocation(AllocationVector(np.array([2, 3, 3])), L=2)
-    assert xi.tolist() == [0, 1, 2]
+    assert indicator([2, 3, 3], L=2).tolist() == [0, 1, 2]
 
 
 def test_indicator_rejects_repeated_gaussian_label():
     with pytest.raises(ModelError):
-        indicator_from_allocation(AllocationVector(np.array([1, 1])), L=2)
+        indicator([1, 1], L=2)
 
 
 def test_indicator_rejects_out_of_range_label():
     with pytest.raises(ModelError):
-        indicator_from_allocation(AllocationVector(np.array([4])), L=2)
+        indicator([4], L=2)
 
 
 # ---------------------------------------------------------------------------
@@ -86,25 +91,26 @@ def gate_model():
 
 
 def point_log_densities(x, z, model):
-    """log density of each point under its label: the truncated Gaussian of
-    a Gaussian label, the uniform density on the box for label L+1."""
-    dens = np.append(_gaussian_log_densities(x.components, model),
-                     np.full((x.k, 1), -model.space.log_volume), axis=1)
-    return dens[np.arange(x.k), z.labels - 1]
+    """log density of each of the (k, d) points x under its label in z: the
+    truncated Gaussian of a Gaussian label, the uniform density on the box
+    for label L+1."""
+    dens = np.append(_gaussian_log_densities(x, model),
+                     np.full((len(x), 1), -model.space.log_volume), axis=1)
+    return dens[np.arange(len(x)), np.asarray(z, dtype=int) - 1]
 
 
 def test_allocation_prior_empty(gate_model):
     # with no points the joint density is the allocation prior itself
-    x = VariableDimSample(np.zeros((0, 1)))
-    z = AllocationVector(np.array([], dtype=int))
+    x = np.zeros((0, 1))
+    z = np.array([], dtype=int)
     assert labeled_joint_log_density(x, z, gate_model) == pytest.approx(
         math.log(0.6) - 0.2, abs=1e-14
     )
 
 
 def test_allocation_prior_single_component(gate_model):
-    x = VariableDimSample(np.array([[0.45]]))
-    z = AllocationVector(np.array([1]))
+    x = np.array([[0.45]])
+    z = np.array([1])
     got = labeled_joint_log_density(x, z, gate_model) - math.log(
         truncnorm_pdf(0.45, 0.5, 0.1, 0.0, 1.0)
     )
@@ -113,8 +119,8 @@ def test_allocation_prior_single_component(gate_model):
 
 def test_allocation_prior_two_outliers(gate_model):
     # the uniform density on the unit box is 1, so the joint is the prior
-    x = VariableDimSample(np.array([[0.1], [0.9]]))
-    z = AllocationVector(np.array([2, 2]))
+    x = np.array([[0.1], [0.9]])
+    z = np.array([2, 2])
     expected = -0.2 + 2 * math.log(0.2) - math.log(2.0) + math.log(0.6)
     assert labeled_joint_log_density(x, z, gate_model) == pytest.approx(expected, abs=1e-13)
 
@@ -125,9 +131,8 @@ def test_allocation_prior_sums_to_one_over_valid_allocations():
     )
     total = 0.0
     for k in range(0, 13):
-        x = VariableDimSample(np.linspace(0.05, 0.95, k).reshape(k, 1))
+        x = np.linspace(0.05, 0.95, k).reshape(k, 1)
         for z in enumerate_allocations(k, model.L):
-            z = AllocationVector(np.array(z, dtype=int))
             total += math.exp(
                 labeled_joint_log_density(x, z, model) - point_log_densities(x, z, model).sum()
             )
@@ -148,8 +153,8 @@ def test_component_density_outlier_label_general_box():
     model = make_model([(0.0, math.pi)], [[0.5]], [[0.01]], [0.4], 0.2)
     assert -model.space.log_volume == pytest.approx(-math.log(math.pi), abs=1e-15)
     # one outlier point: the joint density carries lam times the uniform density
-    x = VariableDimSample(np.array([[1.0]]))
-    z = AllocationVector(np.array([2]))
+    x = np.array([[1.0]])
+    z = np.array([2])
     expected = -0.2 + math.log(0.2) - math.log(math.pi) + math.log(0.6)
     assert labeled_joint_log_density(x, z, model) == pytest.approx(expected, abs=1e-14)
 
@@ -177,7 +182,7 @@ def test_component_density_rejects_out_of_bounds():
     model = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [0.4], 0.2)
     with pytest.raises(ModelError):
         labeled_joint_log_density(
-            VariableDimSample(np.array([[1.5]])), AllocationVector(np.array([1])), model
+            np.array([[1.5]]), np.array([1]), model
         )
 
 
@@ -215,8 +220,8 @@ def test_component_density_two_dimensional():
 
 def test_labeled_joint_empty_sample():
     model = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [0.8], 0.1)
-    x = VariableDimSample(np.zeros((0, 1)))
-    z = AllocationVector(np.array([], dtype=int))
+    x = np.zeros((0, 1))
+    z = np.array([], dtype=int)
     assert labeled_joint_log_density(x, z, model) == pytest.approx(
         -0.1 + math.log(0.2), abs=1e-14
     )
@@ -227,16 +232,16 @@ def test_labeled_joint_empty_sample():
 
 def test_labeled_joint_single_point():
     model = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [0.8], 0.1)
-    x = VariableDimSample(np.array([[0.5]]))
-    z = AllocationVector(np.array([1]))
+    x = np.array([[0.5]])
+    z = np.array([1])
     expected = -0.1 + math.log(0.8) + math.log(truncnorm_pdf(0.5, 0.5, 0.1, 0.0, 1.0))
     assert labeled_joint_log_density(x, z, model) == pytest.approx(expected, rel=1e-12)
 
 
 def test_labeled_joint_mixed_allocation():
     model = make_model([(0.0, 1.0)], [[0.3], [0.7]], [[0.01], [0.04]], [0.7, 0.4], 0.3)
-    x = VariableDimSample(np.array([[0.25], [0.9]]))
-    z = AllocationVector(np.array([1, 3]))
+    x = np.array([[0.25], [0.9]])
+    z = np.array([1, 3])
     expected = (
         -0.3
         - math.log(2.0)
@@ -258,23 +263,22 @@ def test_labeled_joint_mixed_allocation():
 )
 def test_labeled_joint_impossible_allocation_is_minus_inf(pi, lam, points, labels):
     model = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [pi], lam)
-    x = VariableDimSample(np.array(points, dtype=float).reshape(-1, 1))
-    z = AllocationVector(np.array(labels, dtype=int))
-    assert labeled_joint_log_density(x, z, model) == -np.inf
+    x = np.array(points, dtype=float).reshape(-1, 1)
+    assert labeled_joint_log_density(x, labels, model) == -np.inf
 
 
 def test_labeled_joint_k_mismatch_errors():
     model = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [0.8], 0.1)
-    x = VariableDimSample(np.array([[0.5]]))
+    x = np.array([[0.5]])
     with pytest.raises(ModelError):
-        labeled_joint_log_density(x, AllocationVector(np.array([1, 2])), model)
+        labeled_joint_log_density(x, np.array([1, 2]), model)
 
 
 def test_labeled_joint_invalid_allocation_errors():
     model = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [0.8], 0.1)
-    x = VariableDimSample(np.array([[0.4], [0.6]]))
+    x = np.array([[0.4], [0.6]])
     with pytest.raises(ModelError):
-        labeled_joint_log_density(x, AllocationVector(np.array([1, 1])), model)
+        labeled_joint_log_density(x, np.array([1, 1]), model)
 
 
 def closed_form_pair_density(t1, t2, model):
@@ -307,7 +311,7 @@ def test_enumeration_matches_closed_form_pair_density():
     rng = np.random.default_rng(7)
     for _ in range(20):
         t1, t2 = rng.random(2)
-        x = VariableDimSample(np.array([[t1], [t2]]))
+        x = np.array([[t1], [t2]])
         got = math.exp(unlabeled_log_density(x, model))
         assert got == pytest.approx(closed_form_pair_density(t1, t2, model), rel=1e-11)
 
@@ -321,13 +325,13 @@ def test_k_probabilities_enumeration_vs_monte_carlo():
 
     p0 = math.exp(
         labeled_joint_log_density(
-            VariableDimSample(np.zeros((0, 1))),
-            AllocationVector(np.array([], dtype=int)),
+            np.zeros((0, 1)),
+            np.array([], dtype=int),
             model,
         )
     )
     p1, _ = integrate.quad(
-        lambda t: math.exp(unlabeled_log_density(VariableDimSample(np.array([[t]])), model)),
+        lambda t: math.exp(unlabeled_log_density(np.array([[t]]), model)),
         0.0,
         1.0,
         limit=200,
@@ -348,7 +352,7 @@ def test_k_probabilities_enumeration_vs_monte_carlo():
 
 def test_exact_allocation_posterior_normalizes():
     model = make_model([(0.0, 1.0)], [[0.3], [0.7]], [[0.01], [0.04]], [0.7, 0.4], 0.3)
-    x = VariableDimSample(np.array([[0.28], [0.74], [0.5]]))
+    x = np.array([[0.28], [0.74], [0.5]])
     zs, logp = exact_allocation_log_posterior(x, model)
     assert len(zs) == len(logp)
     assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-12)
@@ -381,8 +385,8 @@ def test_unlabeled_density_exactly_permutation_invariant(case):
     model, pts = case
     if pts.shape[0] != 2:
         return
-    a = unlabeled_log_density(VariableDimSample(pts), model)
-    b = unlabeled_log_density(VariableDimSample(pts[::-1].copy()), model)
+    a = unlabeled_log_density(pts, model)
+    b = unlabeled_log_density(pts[::-1].copy(), model)
     assert a == b  # bitwise
 
 
@@ -401,12 +405,8 @@ def test_labeled_joint_exact_under_simultaneous_permutation(case, pyrandom):
     if labels is None:
         labels = np.array(next(iter(enumerate_allocations(k, L))), dtype=int)
     perm = np.array(pyrandom.sample(range(k), k))
-    x1 = VariableDimSample(pts)
-    z1 = AllocationVector(labels)
-    x2 = VariableDimSample(pts[perm].copy())
-    z2 = AllocationVector(labels[perm].copy())
-    assert labeled_joint_log_density(x1, z1, model) == labeled_joint_log_density(
-        x2, z2, model
+    assert labeled_joint_log_density(pts, labels, model) == labeled_joint_log_density(
+        pts[perm].copy(), labels[perm].copy(), model
     )
 
 
@@ -468,7 +468,7 @@ def test_sampler_labels_consistent_with_sample():
     samples, labels = sample_batch_from_model(model, 2_000, np.random.default_rng(1))
     for pts, lab in zip(samples, labels):
         assert pts.shape[0] == lab.shape[0]
-        xi = indicator_from_allocation(AllocationVector(lab), 2)
+        xi = indicator(lab, 2)
         assert np.all(xi[:2] <= 1)
         near_1 = pts[lab == 1, 0]
         if near_1.size:
@@ -520,6 +520,21 @@ def test_intensity_rejects_out_of_bounds():
     model = make_model([(0.0, 1.0)], [[0.5]], [[0.01]], [0.5], 0.3)
     with pytest.raises(ModelError):
         model_intensity(np.array([1.2]), model)
+
+
+@pytest.mark.parametrize(
+    "d, theta",
+    [
+        pytest.param(1, np.linspace(0.0, 1.0, 5), id="1d-grid-read-as-one-5d-point"),
+        pytest.param(2, np.array([0.5]), id="one-coordinate-of-a-2d-point"),
+        pytest.param(2, np.full((2, 3), 0.5), id="rows-of-width-3"),
+        pytest.param(1, np.array(0.5), id="scalar"),
+    ],
+)
+def test_intensity_rejects_points_of_the_wrong_width(d, theta):
+    model = make_model([(0.0, 1.0)] * d, [[0.5] * d], [[0.01] * d], [0.5], 0.3)
+    with pytest.raises(ModelError, match=r"shape \(\.\.\., %d\)" % d):
+        model_intensity(theta, model)
 
 
 # ---------------------------------------------------------------------------
