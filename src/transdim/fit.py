@@ -242,23 +242,21 @@ def _logsumexp(w):
         return np.log(np.exp(w - top).sum(axis=-1)) + top[..., 0]
 
 
-def _sequential_sweep(logw, order, gumbel, L, Z0=None):
+def _sequential_sweep(logw, order, gumbel, L, Z0):
     """Visit points along ``order`` and draw an allocation that reuses no
-    Gaussian label; given a current allocation Z0, score it along the same
-    order in the same sweep.
+    Gaussian label; score the current allocation Z0 along the same order in
+    the same sweep.
 
     Returns the 0-based proposal and its log proposal probability (conditional
-    on the visit order), then that of Z0 when given.
+    on the visit order), then that of Z0.  The proposal does not depend on Z0.
     """
     n, k, _ = logw.shape
     rows = np.arange(n)
-    layers = 1 if Z0 is None else 2  # layer 0 is the proposal, layer 1 is Z0
-    lay = np.arange(layers)[:, None]
-    seq = np.empty((layers, n, k), dtype=np.int64)  # labels in visit order
-    if Z0 is not None:
-        seq[1] = np.take_along_axis(Z0, order, axis=1)
-    avail = np.ones((layers, n, L + 1), dtype=bool)
-    logrho = np.zeros((layers, n))
+    lay = np.arange(2)[:, None]  # layer 0 is the proposal, layer 1 is Z0
+    seq = np.empty((2, n, k), dtype=np.int64)  # labels in visit order
+    seq[1] = np.take_along_axis(Z0, order, axis=1)
+    avail = np.ones((2, n, L + 1), dtype=bool)
+    logrho = np.zeros((2, n))
     for t in range(k):
         w = np.where(avail, logw[rows, order[:, t], :], -np.inf)
         norm = _logsumexp(w)
@@ -408,7 +406,8 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
         logw = _log_weights(P, model)
         order = np.argsort(rng.random((idx.size, k)), axis=1)
         gumbel = -np.log(-np.log(rng.random((idx.size, k, model.L + 1))))
-        Z.append(_sequential_sweep(logw, order, gumbel, model.L)[0])
+        Z0 = np.full((idx.size, k), model.L)  # all outliers; the proposal ignores it
+        Z.append(_sequential_sweep(logw, order, gumbel, model.L, Z0)[0])
 
     trace = FitTrace()
     pruned_log: list = []

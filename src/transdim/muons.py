@@ -69,15 +69,18 @@ class PECountSignal:
         c = np.asarray(self.counts)
         if c.ndim != 1 or c.size == 0:
             raise ModelError("counts must be a nonempty vector")
-        if not np.all(np.isfinite(np.asarray(c, dtype=float))):
+        f = np.asarray(c, dtype=float)
+        if not np.all(np.isfinite(f)):
             raise ModelError("counts must be finite")
-        if np.any(np.asarray(c, dtype=float) != np.round(np.asarray(c, dtype=float))):
+        if np.any(f != np.round(f)):
             raise ModelError("counts must be integers")
         c = np.asarray(c, dtype=np.int64)
         if np.any(c < 0):
             raise ModelError("counts must be nonnegative")
-        if not self.t_delta > 0.0:
-            raise ModelError(f"t_delta must be positive, got {self.t_delta}")
+        t0, dt = float(self.t0), float(self.t_delta)
+        if not (math.isfinite(t0) and dt > 0.0 and math.isfinite(t0 + dt * c.size)):
+            raise ModelError(f"t0, t_delta and the last bin edge must be finite and t_delta "
+                             f"positive, got t0={self.t0}, t_delta={self.t_delta}")
         self.counts = c
 
     @property

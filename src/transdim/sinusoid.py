@@ -151,20 +151,18 @@ def _data_term(k: int, N: int, yty: float, quad: float, delta2: float) -> float:
 
 
 def _data_part(omega: np.ndarray, y: np.ndarray, delta2: float):
-    """(:func:`_data_term`, design factor) for sorted omega.
-
-    The factor is (D, R, ahat, D'y ahat), R the upper Cholesky factor of D'D
-    (LAPACK called directly, as cho_factor does) and ahat = (D'D)^-1 D'y the
-    least-squares amplitudes; it does not depend on delta2, so the chain
-    keeps it with the state for the delta2 refresh.  It is None for k = 0,
-    and the result is (-inf, None) for a frequency outside (0, pi) or a
-    numerically singular D'D (coincident frequencies).
+    """(:func:`_data_term`, u) for sorted omega: u = R^-T D'y, R the upper
+    Cholesky factor of D'D (LAPACK called directly, as cho_factor does), so
+    y'D (D'D)^-1 D'y = u'u.  u does not depend on delta2, so the chain keeps
+    it with the state for the delta2 refresh.  It is empty for k = 0, and the
+    result is (-inf, None) for a frequency outside (0, pi) or a numerically
+    singular D'D (coincident frequencies).
     """
     N = y.size
     yty = float(y @ y)
     k = omega.size
     if k == 0:
-        return _data_term(0, N, yty, 0.0, delta2), None
+        return _data_term(0, N, yty, 0.0, delta2), np.empty(0)
     if omega[0] <= 0.0 or omega[-1] >= math.pi:
         return -np.inf, None
     D = design_matrix(omega, N)
@@ -172,10 +170,8 @@ def _data_part(omega: np.ndarray, y: np.ndarray, delta2: float):
     if info > 0:
         logger.debug("singular design for omega=%s", omega)
         return -np.inf, None
-    Dty = D.T @ y
-    ahat = lapack.dpotrs(R, Dty)[0]
-    quad = float(Dty @ ahat)
-    return _data_term(k, N, yty, quad, delta2), (D, R, ahat, quad)
+    u = lapack.dtrtrs(R, D.T @ y, trans=1)[0]
+    return _data_term(k, N, yty, float(u @ u), delta2), u
 
 
 def _log_trunc_series(rate: float, k_max: int) -> float:
@@ -271,7 +267,7 @@ def generate_synthetic_signal(
 
 
 class _SinChain(rjmcmc.Chain):
-    """State (omega, data part, design factor); delta2 and the rate beside it."""
+    """State (omega, data part, u of :func:`_data_part`); delta2 and the rate beside it."""
 
     sampler = "sinusoid-rjmcmc"
     extra_moves = ("rate",)
@@ -290,10 +286,10 @@ class _SinChain(rjmcmc.Chain):
 
     def _score(self, omega: np.ndarray):
         """``_data_part`` at the current delta2, counting zero-density proposals."""
-        data, fac = _data_part(omega, self.y, self.delta2)
+        data, u = _data_part(omega, self.y, self.delta2)
         if not np.isfinite(data):
             self.singular += 1
-        return data, fac
+        return data, u
 
     def birth(self, log_q):
         # uniform new frequency; prior and proposal densities cancel
@@ -306,10 +302,10 @@ class _SinChain(rjmcmc.Chain):
     def _jump(self, prop, log_q, log_pi):
         """Birth or death to ``prop``; log_pi is the frequency prior's +-log(pi)."""
         omega, data, _ = self.state
-        data_p, fac_p = self._score(prop)
+        data_p, u_p = self._score(prop)
         log_r = (data_p - data + _log_k_prior(prop.size, self.rate, self.log_norm)
                  - _log_k_prior(omega.size, self.rate, self.log_norm) + log_q + log_pi)
-        return log_r, (prop, data_p, fac_p)
+        return log_r, (prop, data_p, u_p)
 
     def update(self, j):
         # symmetric reflected random walk; positions stay fixed within the
@@ -318,34 +314,29 @@ class _SinChain(rjmcmc.Chain):
         prop = omega.copy()
         step = self.config.rw_step * self.rng.standard_normal()
         prop[j] = rjmcmc.reflect(omega[j] + step, 0.0, math.pi)
-        data_p, fac_p = self._score(np.sort(prop))
-        return data_p - data, (prop, data_p, fac_p)
+        data_p, u_p = self._score(np.sort(prop))
+        return data_p - data, (prop, data_p, u_p)
 
     def refresh(self, attempts, accepts):
         cfg, rng, yty, N = self.config, self.rng, self.yty, self.y.size
-        omega, data, fac = self.state
+        omega, data, u = self.state
         k = omega.size
         if cfg.sample_delta2:
             # refresh delta2 through its exact conditional given auxiliary
-            # draws of (sigma2, amplitudes), then discard the auxiliaries;
-            # InvGamma(shape, scale) is drawn as scale / Gamma(shape)
-            quad = fac[3] if k else 0.0
+            # draws of (sigma2, amplitudes a), then discard the auxiliaries;
+            # InvGamma(shape, scale) is drawn as scale / Gamma(shape), and
+            # |D a|^2 = |R a|^2 with R a ~ N(shrink u, sigma2 shrink I)
+            quad = float(u @ u)
             shrink = self.delta2 / (1.0 + self.delta2)
             sigma2 = 0.5 * (yty - shrink * quad) / rng.gamma(0.5 * N)
-            energy = 0.0
-            if k:
-                D, R, ahat, _ = fac
-                mean = shrink * ahat
-                z = rng.standard_normal(2 * k)
-                dev = lapack.dtrtrs(R, z)[0]
-                Da = D @ (mean + math.sqrt(sigma2 * shrink) * dev)
-                energy = float(Da @ Da)
+            Ra = shrink * u + math.sqrt(sigma2 * shrink) * rng.standard_normal(2 * k)
+            energy = float(Ra @ Ra)
             self.delta2 = (BETA_DELTA + 0.5 * energy / sigma2) / rng.gamma(ALPHA_DELTA + k)
             data = _data_term(k, N, yty, quad, self.delta2)
             if data == -np.inf:
                 raise ModelError(f"the {k} frequencies fit the signal exactly at delta2 = "
                                  f"{self.delta2:.3g}: the noise variance has no proper posterior")
-            self.state = (omega, data, fac)
+            self.state = (omega, data, u)
         if cfg.sample_rate:
             # conjugate-form proposal; the truncation of p(k | rate) at k_max
             # leaves a ratio of masses log P(Poisson(.) <= k_max) to correct for

@@ -156,6 +156,18 @@ def test_non_finite_muon_is_data_error(tmp_path, capsys, muon):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("geometry", ["--t0=nan", "--t0=-inf", "--t-delta=inf"])
+def test_non_finite_trace_geometry_is_data_error(tmp_path, capsys, geometry):
+    # the bin means came out non-finite and the Poisson draw ended in a
+    # numpy traceback
+    out = tmp_path / "x"
+    rc = cli.main(["simulate-auger", "--seed", "1", "--muon", "100:50", geometry,
+                   "--out", str(out)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_auger_without_muons_or_file_is_data_error(tmp_path):
     rc = cli.main(["simulate-auger", "--seed", "1", "--out", str(tmp_path / "x")])
     assert rc == 2

@@ -308,8 +308,9 @@ def test_fused_sweep_matches_two_loop_reference(lam, k):
     np.testing.assert_allclose(
         lrho_c, _reference_logprob(logw, order, Z0, L), rtol=1e-12, atol=1e-12
     )
-    Zi, lrho_i = _sequential_sweep(logw, order, gumbel, L)
-    assert np.array_equal(Zi, Zp) and np.array_equal(lrho_i, lrho_p)
+    # the proposal layer never reads the current allocation
+    Zo, lrho_o, _ = _sequential_sweep(logw, order, gumbel, L, np.full((n, k), L))
+    assert np.array_equal(Zo, Zp) and np.array_equal(lrho_o, lrho_p)
     if lam == 0.0:
         assert np.all((Zp == L).sum(axis=1) == max(k - L, 0))
         assert np.isneginf(lrho_c).any() and np.isfinite(lrho_c).any()

@@ -278,6 +278,11 @@ def test_signal_validation():
         PECountSignal(np.array([]))
     with pytest.raises(ModelError):
         PECountSignal(np.array([1, 2]), t_delta=0.0)
+    # non-finite geometry, and a last edge t0 + n_bins t_delta that overflows
+    for geometry in ({"t0": math.nan}, {"t0": math.inf}, {"t0": -math.inf},
+                     {"t_delta": math.inf}, {"t_delta": math.nan}, {"t_delta": 1e308}):
+        with pytest.raises(ModelError, match="finite"):
+            PECountSignal(np.array([1, 2]), **geometry)
 
 
 def test_param_space_covers_window_and_amplitudes():

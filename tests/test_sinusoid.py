@@ -12,7 +12,6 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.linalg import lapack
 from scipy.special import gammaln, logsumexp
 
 from transdim.model import ModelError
@@ -173,12 +172,12 @@ def test_singular_design_is_minus_inf_and_has_no_amplitude_mean(omega):
 
 
 def test_amplitude_mean_empty():
-    # k = 0 has no amplitudes to solve for: no design factor, and the data
-    # part is the empty model's -N/2 log(y'y) for any delta2
+    # k = 0 has no amplitudes to solve for: u is empty, and the data part is
+    # the empty model's -N/2 log(y'y) for any delta2
     y = np.ones(8)
     for d2 in (0.5, 5.0, 1e8):
-        data, fac = _data_part(np.empty(0), y, d2)
-        assert fac is None
+        data, u = _data_part(np.empty(0), y, d2)
+        assert u.shape == (0,)
         assert data == pytest.approx(-0.5 * 8 * math.log(8.0), rel=1e-15)
 
 
@@ -190,17 +189,19 @@ def test_design_factor_matches_dense_solves(omega):
     omega = np.array(omega)
     D = design_matrix(omega, 64)
     G, Dty = D.T @ D, D.T @ y
-    ref = np.linalg.solve(G, Dty)
-    D_f, R, ahat, quad = _data_part(omega, y, 5.0)[1]
-    np.testing.assert_array_equal(D_f, D)
-    # the least-squares amplitudes; the delta2 refresh's mean is 5/6 of them
-    np.testing.assert_allclose(ahat, ref, rtol=1e-12)
-    R = np.triu(R)  # the lower triangle is not part of the factor
-    np.testing.assert_allclose(R.T @ R, G, rtol=1e-12, atol=1e-12 * np.abs(G).max())
-    assert quad == pytest.approx(float(Dty @ ref), rel=1e-12)
-    # the delta2 refresh's triangular solve
+    ahat = np.linalg.solve(G, Dty)  # the least-squares amplitudes
+    R = np.linalg.cholesky(G).T
+    u = _data_part(omega, y, 5.0)[1]
+    # u'u is the data term's quadratic form, and u solves R'u = D'y
+    assert u @ u == pytest.approx(float(Dty @ ahat), rel=1e-12)
+    np.testing.assert_allclose(R.T @ u, Dty, rtol=1e-12, atol=1e-12 * np.abs(Dty).max())
+    # the delta2 refresh's energy: for amplitudes a = shrink ahat + c R^-1 z,
+    # |D a|^2 = |R a|^2 = |shrink u + c z|^2
     z = np.random.default_rng(1).standard_normal(omega.size * 2)
-    np.testing.assert_allclose(lapack.dtrtrs(R, z)[0], np.linalg.solve(R, z), rtol=1e-12)
+    shrink, c = 5.0 / 6.0, 0.7
+    Da = D @ (shrink * ahat + c * np.linalg.solve(R, z))
+    Ra = shrink * u + c * z
+    assert Ra @ Ra == pytest.approx(float(Da @ Da), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
