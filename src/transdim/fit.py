@@ -6,9 +6,9 @@ evaluates the completed negative log-likelihood, and re-estimates the model
 parameters with robust statistics.  Components that attract too few samples
 are pruned, and the returned model averages the final window of iterations.
 
-The E-step computes the log allocation weights once per model and k-group,
-and one sweep over the points both draws the proposal and scores the
-current allocation.
+The E-step computes the log allocation weights once per model, and one
+sweep over every record, sorted by k, both draws the proposal and scores
+the current allocation.
 """
 
 from __future__ import annotations
@@ -199,38 +199,53 @@ def initialize_model(samples: SampleSet, config: FitConfig) -> ApproxModel:
 
 
 # ---------------------------------------------------------------------------
-# Allocation transition (batched over samples that share the same k)
+# Allocation transition (batched over every record at once)
 # ---------------------------------------------------------------------------
 
 
+class _Rows:
+    """Row layout of the E-step for records sorted by ascending k (see
+    :func:`_sequential_sweep`); ``groups`` holds (k, first row, end row)."""
+
+    def __init__(self, ks):
+        self.ks = ks
+        self.start = np.concatenate(([0], np.cumsum(ks)))
+        self.row = np.repeat(np.arange(ks.size), ks)  # row of each point
+        self.vm = np.argsort(np.arange(self.row.size) - self.start[self.row], kind="stable")
+        self.lo = np.searchsorted(ks, np.arange(ks.max(initial=0)), side="right").tolist()
+        self.pos = np.cumsum([0] + [ks.size - s for s in self.lo]).tolist()
+        self.groups = [(k, *np.searchsorted(ks, [k, k + 1]).tolist()) for k in np.unique(ks).tolist()]
+        self.lgk = gammaln(ks + 1)
+
+
 def _log_weights(points: np.ndarray, model: ApproxModel) -> np.ndarray:
-    """Log allocation weights per point and label, shape (n, k, L+1).
+    """Log allocation weights of (..., d) points per label, shape (..., L+1).
 
     Gaussian labels weigh pi_l times the truncated density; the last column
     is the point-process intensity lam/|box|.
     """
-    n, k, d = points.shape
     L = model.L
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.pis())
-    log_out = (math.log(model.lam) if model.lam > 0 else -np.inf) - model.space.log_volume
-    out = np.empty((n, k, L + 1))
-    logN = _gaussian_log_densities(points.reshape(n * k, d), model).reshape(n, k, L)
-    out[:, :, :L] = logN + log_pi
-    out[:, :, L] = log_out
+    out = np.empty(points.shape[:-1] + (L + 1,))
+    out[..., :L] = _gaussian_log_densities(points, model) + log_pi
+    out[..., L] = (math.log(model.lam) if model.lam > 0 else -np.inf) - model.space.log_volume
     return out
 
 
-def _joint_logdens(logw: np.ndarray, Z: np.ndarray, model: ApproxModel, k: int) -> np.ndarray:
-    """Joint log density of (sample, allocation) rows; Z is 0-based (n, k).
-    Each gate that no point uses contributes log(1 - pi_l)."""
-    rows = np.arange(Z.shape[0])[:, None]
-    const = -model.lam - float(gammaln(k + 1))
-    used = np.zeros((Z.shape[0], model.L + 1), dtype=bool)
-    used[rows, Z] = True
+def _joint_logdens(logw: np.ndarray, Z: np.ndarray, model: ApproxModel, rows: _Rows) -> np.ndarray:
+    """Joint log density per row; Z is 0-based (P,).  Each gate that no point
+    uses contributes log(1 - pi_l).  Each k-group sums its own (n, k) run, as
+    numpy's pairwise summation groups rows of 8 or more terms by their width."""
+    picked = logw[np.arange(Z.size), Z]
+    data = np.empty(rows.ks.size)
+    for k, a, b in rows.groups:
+        data[a:b] = picked[rows.start[a]:rows.start[b]].reshape(b - a, k).sum(axis=1)
+    used = np.zeros((rows.ks.size, model.L + 1), dtype=bool)
+    used[rows.row, Z] = True
     with np.errstate(divide="ignore"):
         closed = np.where(used[:, :model.L], 0.0, np.log1p(-model.pis())).sum(axis=1)
-    return const + logw[rows, np.arange(k), Z].sum(axis=1) + closed
+    return (-model.lam - rows.lgk) + data + closed
 
 
 def _logsumexp(w):
@@ -242,65 +257,91 @@ def _logsumexp(w):
         return np.log(np.exp(w - top).sum(axis=-1)) + top[..., 0]
 
 
-def _sequential_sweep(logw, order, gumbel, L, Z0):
-    """Visit points along ``order`` and draw an allocation that reuses no
-    Gaussian label; score the current allocation Z0 along the same order in
-    the same sweep.
+def _draws(rng, rows: _Rows, L: int, u=None):
+    """One sweep's visit order and Gumbel noise, visit-major, drawn k-group by
+    k-group in ascending k as uniforms (n, k), then (n, k, L+1), then, when
+    ``u`` is given, accept uniforms (n,) into its rows.  k = 0 draws nothing."""
+    order = np.empty(rows.row.size, dtype=np.int64)
+    gumbel = np.empty((rows.row.size, L + 1))
+    for k, a, b in rows.groups:
+        p, q = rows.start[a], rows.start[b]
+        np.add(np.argsort(rng.random((b - a, k)), axis=1), rows.start[a:b, None],
+               out=order[p:q].reshape(b - a, k))
+        rng.random(out=gumbel[p:q])
+        if u is not None and k:
+            rng.random(out=u[a:b])
+    gumbel = np.take(gumbel, rows.vm, axis=0)
+    for f in (np.log, np.negative, np.log, np.negative):  # -log(-log(u)), in place
+        f(gumbel, out=gumbel)
+    return order[rows.vm], gumbel
 
-    Returns the 0-based proposal and its log proposal probability (conditional
-    on the visit order), then that of Z0.  The proposal does not depend on Z0.
+
+def _sequential_sweep(logw, rows: _Rows, visit, gumbel, L, Z0):
+    """Visit each record's points along a random order and draw an
+    allocation that reuses no Gaussian label; score the current allocation
+    Z0 along the same order in the same sweep.
+
+    Row layout: rows are the records sorted by ascending k, and ``logw``
+    (P, L+1), ``Z0`` and the returned labels are record-major over the P
+    points, point j of row r at ``rows.start[r] + j``, so each k-group is one
+    contiguous (n, k) run.  Visit t touches the rows with k > t, the suffix
+    ``rows.lo[t]:``, so every k-group shares one sweep of max k visits.
+    ``visit`` (P,) and ``gumbel`` (P, L+1) are visit-major: entry
+    ``rows.pos[t] + i`` holds the point that row ``lo[t] + i`` visits at
+    step t and that visit's Gumbel noise; ``rows.vm`` maps each entry to
+    the record-major slot start[r] + t.
+
+    Returns the 0-based proposal and its log proposal probability per row
+    (conditional on the visit order), then that of Z0.  The proposal does
+    not depend on Z0.
     """
-    n, k, _ = logw.shape
-    rows = np.arange(n)
+    M = rows.ks.size
+    idx = np.arange(M)
     lay = np.arange(2)[:, None]  # layer 0 is the proposal, layer 1 is Z0
-    seq = np.empty((2, n, k), dtype=np.int64)  # labels in visit order
-    seq[1] = np.take_along_axis(Z0, order, axis=1)
-    avail = np.ones((2, n, L + 1), dtype=bool)
-    logrho = np.zeros((2, n))
-    for t in range(k):
-        w = np.where(avail, logw[rows, order[:, t], :], -np.inf)
+    seq = np.empty((2, visit.size), dtype=np.int64)  # labels in visit order
+    seq[1] = Z0[visit]
+    avail = np.ones((2, M, L + 1), dtype=bool)
+    logrho = np.zeros((2, M))
+    for t, s in enumerate(rows.lo):
+        vis = slice(rows.pos[t], rows.pos[t + 1])
+        w = np.where(avail[:, s:], np.take(logw, visit[vis], axis=0), -np.inf)
         norm = _logsumexp(w)
         forced = norm == -np.inf
-        seq[0, :, t] = np.where(forced[0], L, (w[0] + gumbel[:, t, :]).argmax(axis=1))
-        c = seq[:, :, t]
+        seq[0, vis] = np.where(forced[0], L, (w[0] + gumbel[vis]).argmax(axis=1))
+        c = seq[:, vis]
         with np.errstate(invalid="ignore"):
-            raw = w[lay, rows, c] - norm
-        logrho += np.where(forced, np.where(c == L, 0.0, -np.inf), raw)
-        avail[lay, rows, c] = c == L
-    Z = np.empty((n, k), dtype=np.int64)
-    np.put_along_axis(Z, order, seq[0], axis=1)
+            raw = w[lay, idx[:M - s], c] - norm
+        logrho[:, s:] += np.where(forced, np.where(c == L, 0.0, -np.inf), raw)
+        avail[lay, idx[s:], c] = c == L
+    Z = np.empty_like(Z0)
+    Z[visit] = seq[0]
     return (Z, *logrho)
 
 
-def _imh_steps(points, Z, model, rng, steps):
-    """``steps`` batched MH transitions under one model; Z is 0-based (n, k).
+def _imh_steps(points, rows: _Rows, Z, model, rng, steps):
+    """``steps`` batched MH transitions under one model on the layout ``rows``.
 
-    Returns (new labels, accepted mask of the last step, joint log density of
-    the new state).  The log weights and the current joint density are
-    computed once, and each step's joint density carries over to the next.
-    The same sampled visit order enters both proposal probabilities, so the
-    order factor cancels from the acceptance ratio.  A current state of zero
-    joint density is escaped unconditionally.
+    Z is 0-based (P,).  Returns (new labels, accepted mask of the last step,
+    joint log density of the new state).  The log weights and the current
+    joint density are computed once, and each step's joint density carries
+    over to the next.  The same sampled visit order enters both proposal
+    probabilities, so the order factor cancels from the acceptance ratio.  A
+    current state of zero joint density is escaped unconditionally.
     """
-    n, k, _ = points.shape
     L = model.L
     logw = _log_weights(points, model)
-    joint = _joint_logdens(logw, Z, model, k)
-    accept = np.ones(n, dtype=bool)
-    if k == 0:
-        return Z.copy(), accept, joint
-    for _ in range(steps):
-        order = np.argsort(rng.random((n, k)), axis=1)
-        gumbel = -np.log(-np.log(rng.random((n, k, L + 1))))
-        Zp, lrho_p, lrho_c = _sequential_sweep(logw, order, gumbel, L, Z)
-        joint_prop = _joint_logdens(logw, Zp, model, k)
+    joint = _joint_logdens(logw, Z, model, rows)
+    for _ in range(steps):  # FitConfig keeps steps >= 1, so accept is always bound
+        u = np.zeros(rows.ks.size)  # k = 0 rows draw nothing; log(0) accepts
+        Zp, lrho_p, lrho_c = _sequential_sweep(logw, rows, *_draws(rng, rows, L, u), L, Z)
+        joint_prop = _joint_logdens(logw, Zp, model, rows)
         with np.errstate(invalid="ignore"):
             log_ratio = (joint_prop - joint) + (lrho_c - lrho_p)
         log_ratio = np.where(np.isnan(log_ratio), -np.inf, log_ratio)
         with np.errstate(divide="ignore"):
-            accept = np.log(rng.random(n)) < log_ratio
+            accept = np.log(u) < log_ratio
         accept |= np.isneginf(joint)
-        Z = np.where(accept[:, None], Zp, Z)
+        Z = np.where(accept[rows.row], Zp, Z)
         joint = np.where(accept, joint_prop, joint)
     return Z, accept, joint
 
@@ -319,10 +360,10 @@ def imh_batch_step(points, labels, model, rng):
     (new_labels, accepted, joint_log_density), with labels again 1-based.
     """
     rng = np.random.default_rng(rng)
-    points = np.asarray(points, dtype=float)
-    labels = np.asarray(labels, dtype=np.int64)
-    Z1, accepted, joint = _imh_steps(points, labels - 1, model, rng, 1)
-    return Z1 + 1, accepted, joint
+    n, k, d = np.shape(points)
+    Z1, accepted, joint = _imh_steps(np.reshape(points, (n * k, d)), _Rows(np.full(n, k)),
+                                     np.asarray(labels, dtype=np.int64).ravel() - 1, model, rng, 1)
+    return Z1.reshape(n, k) + 1, accepted, joint
 
 
 # ---------------------------------------------------------------------------
@@ -395,39 +436,29 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
     model = initialize_model(samples, config)
     space = samples.space
     M = len(samples)
-    groups = list(samples.by_k())  # (k, record indices, (n, k, d) block), ascending k
-    pts = np.concatenate([P.reshape(-1, space.dim) for _, _, P in groups])  # M-step points
+    rows = _Rows(np.sort(samples.k))
+    src = np.argsort(np.repeat(samples.k, samples.k), kind="stable")  # sorted points' origin
+    pts = samples.points[src]
     notes: list = []
     if config.init_rule == "fixed" and model.L < config.fixed_L:
         notes.append(f"fixed_L={config.fixed_L} lowered to {model.L}, the largest k observed")
 
-    Z = []  # 0-based labels per group
-    for k, idx, P in groups:
-        logw = _log_weights(P, model)
-        order = np.argsort(rng.random((idx.size, k)), axis=1)
-        gumbel = -np.log(-np.log(rng.random((idx.size, k, model.L + 1))))
-        Z0 = np.full((idx.size, k), model.L)  # all outliers; the proposal ignores it
-        Z.append(_sequential_sweep(logw, order, gumbel, model.L, Z0)[0])
+    # first allocation: a proposal against all outliers, which it ignores
+    Z = _sequential_sweep(_log_weights(pts, model), rows, *_draws(rng, rows, model.L),
+                          model.L, np.full(pts.shape[0], model.L))[0]
 
     trace = FitTrace()
     pruned_log: list = []
     last_prune = -1
     for r in range(config.iterations):
-        joint_total = 0.0
-        n_accept = 0
-        for g, (_, _, P) in enumerate(groups):
-            Z[g], acc, joint = _imh_steps(P, Z[g], model, rng, config.imh_inner_steps)
-            joint_total += float(joint.sum())
-            n_accept += int(acc.sum())
-        criterion = -joint_total
-
-        lab = np.concatenate([Zg.reshape(-1) for Zg in Z])
-        new_model, counts = _mstep_core(pts, lab, M, model.L, space, model)
+        Z, acc, joint = _imh_steps(pts, rows, Z, model, rng, config.imh_inner_steps)
+        criterion = -sum(float(joint[a:b].sum()) for _, a, b in rows.groups)
+        new_model, counts = _mstep_core(pts, Z, M, model.L, space, model)
 
         trace.criteria.append(criterion)
         trace.models.append(new_model)
         trace.counts.append(counts.copy())
-        trace.accept_rates.append(n_accept / M)
+        trace.accept_rates.append(int(acc.sum()) / M)
 
         L_old = new_model.L
         keep = counts[:L_old] >= config.prune_threshold
@@ -444,7 +475,7 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
             L_new = len(survivors)
             lut = np.full(L_old + 1, L_new, dtype=np.int64)
             lut[np.flatnonzero(keep)] = np.arange(L_new)
-            Z = [lut[Zg] for Zg in Z]
+            Z = lut[Z]
             last_prune = r
             if L_new == 0:
                 notes.append(
@@ -471,7 +502,6 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
         final = ApproxModel(space, comps, float(np.mean([s.lam for s in snaps])))
 
     labels = np.empty(samples.points.shape[0], dtype=np.int64)
-    for (k, idx, _), Zg in zip(groups, Z):
-        labels[samples.offsets[idx, None] + np.arange(k)] = Zg + 1
+    labels[src] = Z + 1
     allocations = [AllocationVector(z) for z in samples.split(labels)]
     return FitResult(final, trace, allocations, pruned_log, notes)

@@ -472,6 +472,13 @@ def test_stochastic_commands_are_bit_reproducible(capsys, tmp_path):
                    "--iterations", "14", "--window", "7"],
         ["m.json", "t.csv"],
     )
+    twice(
+        "fit6",
+        lambda d: ["fit", "--samples", str(base / "s.samples"), "--seed", "5",
+                   "--out", str(d / "m.json"), "--trace-out", str(d / "t.csv"),
+                   "--iterations", "14", "--window", "7", "--inner-steps", "6"],
+        ["m.json", "t.csv"],
+    )
     model = tmp_path / "fit_x" / "m.json"
     twice(
         "report",

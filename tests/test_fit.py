@@ -6,6 +6,7 @@ conditional as the oracle; the end-to-end fit is checked against data drawn
 from a known model.
 """
 
+import hashlib
 import logging
 import math
 import warnings
@@ -16,9 +17,11 @@ from scipy.special import logsumexp
 
 from transdim.fit import (
     FitConfig,
+    _draws,
     _imh_steps,
     _log_weights,
     _logsumexp,
+    _Rows,
     _sequential_sweep,
     choose_component_count,
     imh_batch_step,
@@ -289,9 +292,11 @@ def _visit(rng, n, k, L):
 @pytest.mark.parametrize("lam, k", [(0.5, 1), (0.5, 2), (0.5, 4), (0.0, 2), (0.0, 3)])
 def test_fused_sweep_matches_two_loop_reference(lam, k):
     """Same labels and, to float64 rounding, the same log proposal
-    probabilities as the two-loop reference.  With lam = 0 the outlier label
-    has zero weight, so points beyond the L Gaussian labels are forced to it,
-    and a current allocation that uses it elsewhere has zero density."""
+    probabilities as the two-loop reference, which reads the same random
+    numbers drawn per group as (n, k) and (n, k, L+1) arrays.  With lam = 0
+    the outlier label has zero weight, so points beyond the L Gaussian labels
+    are forced to it, and a current allocation that uses it elsewhere has
+    zero density."""
     model = make_model([(0.0, 1.0)], [[0.3], [0.7]], [[0.0225], [0.0225]], [0.7, 0.4], lam)
     clutter = make_model([(0.0, 1.0)], [[0.3], [0.7]], [[0.0225], [0.0225]], [0.7, 0.4], 3.0)
     L, n = 2, 500
@@ -299,21 +304,118 @@ def test_fused_sweep_matches_two_loop_reference(lam, k):
     P = rng.random((n, k, 1))
     Z0, _ = _reference_propose(_log_weights(P, clutter), *_visit(rng, n, k, L), L)
     logw = _log_weights(P, model)
-    order, gumbel = _visit(rng, n, k, L)
+    order, gumbel = _visit(np.random.default_rng(7), n, k, L)
+    rows = _Rows(np.full(n, k))
+    draws = _draws(np.random.default_rng(7), rows, L)
 
-    Zp, lrho_p, lrho_c = _sequential_sweep(logw, order, gumbel, L, Z0)
+    Zp, lrho_p, lrho_c = _sequential_sweep(logw.reshape(n * k, L + 1), rows, *draws, L, Z0.ravel())
     Zr, lrho_r = _reference_propose(logw, order, gumbel, L)
-    assert np.array_equal(Zp, Zr)
+    assert np.array_equal(Zp.reshape(n, k), Zr)
     np.testing.assert_allclose(lrho_p, lrho_r, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(
         lrho_c, _reference_logprob(logw, order, Z0, L), rtol=1e-12, atol=1e-12
     )
     # the proposal layer never reads the current allocation
-    Zo, lrho_o, _ = _sequential_sweep(logw, order, gumbel, L, np.full((n, k), L))
+    Zo, lrho_o, _ = _sequential_sweep(logw.reshape(n * k, L + 1), rows, *draws, L,
+                                      np.full(n * k, L))
     assert np.array_equal(Zo, Zp) and np.array_equal(lrho_o, lrho_p)
     if lam == 0.0:
-        assert np.all((Zp == L).sum(axis=1) == max(k - L, 0))
+        assert np.all((Zp.reshape(n, k) == L).sum(axis=1) == max(k - L, 0))
         assert np.isneginf(lrho_c).any() and np.isfinite(lrho_c).any()
+
+
+def test_sweep_normalises_over_the_available_labels_only():
+    """lam = 0, which the M-step gives whenever no point goes to clutter, and
+    two tight components far apart.  Once one point takes component 1, the
+    other's only available label of nonzero weight is component 2, some
+    1,800 nats below component 1.  The sweep must propose it and score the
+    valid current state as finite.  A log-sum-exp shifted by the maximum
+    over all labels underflows there: it sends the proposal to clutter and
+    scores half of the current states as -inf."""
+    model = make_model([(0.0, 1.0)], [[0.2], [0.8]], [[1e-4], [1e-4]], [0.5, 0.5], 0.0)
+    n, L = 2000, 2
+    rows = _Rows(np.full(n, 2))
+    logw = _log_weights(np.tile([0.20, 0.21], n)[:, None], model)
+    Z0 = np.tile([0, 1], n)
+    Zp, lrho_p, lrho_c = _sequential_sweep(
+        logw, rows, *_draws(np.random.default_rng(9), rows, L), L, Z0)
+    assert np.all(np.sort(Zp.reshape(n, 2), axis=1) == [0, 1])
+    assert np.all(np.isfinite(lrho_p)) and np.all(np.isfinite(lrho_c))
+
+
+def _ragged_samples():
+    """185 shuffled two-dimensional records with k = 0, 1, 2, 3 and 9."""
+    rng = np.random.default_rng(2026)
+    ks = rng.permutation(np.repeat([0, 1, 2, 3, 9], [15, 40, 60, 45, 25]))
+    centers = np.array([[0.2, 0.3], [0.5, 0.7], [0.8, 0.4]])
+    arrays = [np.clip(centers[rng.integers(3, size=k)] + 0.05 * rng.standard_normal((k, 2)),
+                      0.01, 0.99) for k in ks]
+    return SampleSet.ingest(ParamSpace(np.array([[0.0, 1.0], [0.0, 1.0]])), arrays)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("lam", [0.5, 0.0])
+def test_batched_estep_matches_per_group_reference(steps, lam):
+    """One sweep over all k-groups equals the per-group E-step, built from
+    the two-loop reference and the per-record oracle.  The reference draws
+    step-major: in each inner step, k-group by k-group in ascending k, visit
+    uniforms, Gumbel uniforms, then accept uniforms; a k = 0 group draws
+    nothing.  Rows of 9 points pass numpy's 8-wide pairwise summation
+    block."""
+    ss = _ragged_samples()
+    L = 3
+    model = make_model([(0.0, 1.0)] * 2, [[0.2, 0.3], [0.5, 0.7], [0.8, 0.4]],
+                       [[0.004, 0.003]] * 3, [0.9, 0.6, 0.8], lam)
+    clutter = ApproxModel(model.space, model.components, 3.0)
+    groups = [(k, P) for k, _, P in ss.by_k()]
+    start = np.random.default_rng(3)
+    Z = [_reference_propose(_log_weights(P, clutter), *_visit(start, len(P), k, L), L)[0]
+         for k, P in groups]
+    ks = np.concatenate([np.full(len(P), k) for k, P in groups])
+    got_Z, got_acc, got_joint = _imh_steps(
+        np.concatenate([P.reshape(-1, 2) for _, P in groups]), _Rows(ks),
+        np.concatenate([Zg.ravel() for Zg in Z]), model, np.random.default_rng(4), steps)
+
+    def oracle(P, Zg):
+        return np.array([labeled_joint_log_density(x, z + 1, model) for x, z in zip(P, Zg)])
+
+    rng = np.random.default_rng(4)
+    joint = [oracle(P, Zg) for (_, P), Zg in zip(groups, Z)]
+    acc = [np.ones(len(P), dtype=bool) for _, P in groups]
+    for _ in range(steps):
+        for g, (k, P) in enumerate(groups):
+            if k == 0:
+                continue
+            logw = _log_weights(P, model)
+            order, gumbel = _visit(rng, len(P), k, L)
+            Zp, lrho_p = _reference_propose(logw, order, gumbel, L)
+            lrho_c = _reference_logprob(logw, order, Z[g], L)
+            jp = oracle(P, Zp)
+            with np.errstate(invalid="ignore"):
+                ratio = (jp - joint[g]) + (lrho_c - lrho_p)
+            ratio[np.isnan(ratio)] = -np.inf
+            with np.errstate(divide="ignore"):
+                acc[g] = (np.log(rng.random(len(P))) < ratio) | np.isneginf(joint[g])
+            Z[g] = np.where(acc[g][:, None], Zp, Z[g])
+            joint[g] = np.where(acc[g], jp, joint[g])
+
+    assert np.array_equal(got_Z, np.concatenate([Zg.ravel() for Zg in Z]))
+    assert np.array_equal(got_acc, np.concatenate(acc))
+    np.testing.assert_allclose(got_joint, np.concatenate(joint), rtol=1e-12, atol=1e-12)
+    assert np.isfinite(got_joint).any()
+
+
+def test_one_step_fit_on_ragged_records_is_unchanged():
+    """Labels, criteria and final model of a one-inner-step fit over records
+    of k = 0, 1, 2, 3 and 9 hash to the digest recorded when the E-step still
+    ran one k-group at a time."""
+    result = sem_fit(_ragged_samples(), FitConfig(iterations=20, averaging_window=10,
+                                                  init_rule="fixed", fixed_L=3, rng_seed=8))
+    m = result.model
+    parts = [np.concatenate([z.labels for z in result.allocations]).astype(np.int64),
+             np.array(result.trace.criteria), m.mus(), m.sigma2s(), m.pis(), np.array([m.lam])]
+    assert hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest() == (
+        "9b75443e78c86b432b860c25a19cc9362d0c9d54a6e17e21e192dc17d95489a2")
 
 
 def test_logsumexp_matches_scipy_on_rows_with_neginf():
@@ -340,11 +442,12 @@ def test_inner_steps_match_repeated_batch_steps(ambiguous_model, lam):
     Z0 = np.full((300, 3), 3, dtype=np.int64)
     for steps in (1, 2, 5):
         a, b = np.random.default_rng(61), np.random.default_rng(61)
-        Z, acc, joint = _imh_steps(P, Z0 - 1, model, a, steps)
+        Z, acc, joint = _imh_steps(P.reshape(900, 1), _Rows(np.full(300, 3)),
+                                   (Z0 - 1).ravel(), model, a, steps)
         Zb = Z0
         for _ in range(steps):
             Zb, acc_b, joint_b = imh_batch_step(P, Zb, model, b)
-        assert np.array_equal(Z + 1, Zb)
+        assert np.array_equal(Z.reshape(300, 3) + 1, Zb)
         assert np.array_equal(acc, acc_b)
         assert np.array_equal(joint, joint_b)
         assert a.random() == b.random()
