@@ -146,7 +146,8 @@ def _unit_masses(times, edges: np.ndarray, shape: PulseShape) -> np.ndarray:
 def _canonical_sum(times, amps, masses) -> np.ndarray:
     """Sum of ``amps[i] * masses[i]`` in (arrival, amplitude) order, added
     one row at a time onto zeros, as a fresh array (not a view that would
-    keep the (k + 1, n) buffer alive)."""
+    keep the (k + 1, n) buffer alive).  Only ``expected_bin_counts`` uses
+    it, for the same bits under any order of its muons."""
     o = np.lexsort((amps, times))
     terms = np.zeros((o.size + 1, masses.shape[1]))
     np.multiply(amps[o, None], masses[o], out=terms[1:])
@@ -245,9 +246,10 @@ class AugerChainConfig:
 
 
 class _AugerChain(rjmcmc.Chain):
-    """State (rows, log likelihood).  A row holds a muon's (arrival, amplitude)
-    and then its ``_unit_masses`` row; rows are sorted by arrival, and the
-    engine's sort by column 0 keeps each mass row with its muon."""
+    """State (rows, log likelihood of the rows as stored).  A row holds a
+    muon's (arrival, amplitude) and then its ``_unit_masses`` row; rows are
+    sorted by arrival, and the engine's sort by column 0 keeps each mass row
+    with its muon.  ``update(0)`` proposes the whole sweep's rows at once."""
 
     sampler = "auger-rjmcmc"
 
@@ -272,8 +274,10 @@ class _AugerChain(rjmcmc.Chain):
         self.log_rate = math.log(config.rate)
 
     def _loglik(self, rows: np.ndarray) -> float:
-        """``log_likelihood_pe(counts, expected_bin_counts(muons))``, same operations."""
-        nbar = _canonical_sum(rows[:, 0], rows[:, 1], rows[:, 2:])
+        """``log_likelihood_pe(counts, expected_bin_counts(muons))`` up to the
+        last bits: the bin means are one product ``amps @ masses``, which adds
+        in another order than the canonical sum."""
+        nbar = rows[:, 1] @ rows[:, 2:]
         return float(xlogy(self.n, nbar).sum() - nbar.sum() - self.log_n_fact)
 
     def birth(self, log_q):
@@ -287,11 +291,11 @@ class _AugerChain(rjmcmc.Chain):
         while not 0.0 < a <= cfg.a_max:
             u = rng.random() * gammainc(cfg.amp_alpha, cfg.amp_beta * cfg.a_max)
             a = min(gammaincinv(cfg.amp_alpha, u) / cfg.amp_beta, cfg.a_max)
+        i = np.searchsorted(rows[:, 0], t)
         row = np.hstack([[t, float(a)], _unit_masses(t, self.edges, cfg.pulse)[0]])
-        prop = np.vstack([rows, row])
+        prop = np.vstack([rows[:i], row, rows[i:]])
         ll_p = self._loglik(prop)
-        log_r = ll_p - ll + self.log_rate - math.log(len(rows) + 1) + log_q
-        return log_r, (prop[np.argsort(prop[:, 0])], ll_p)
+        return ll_p - ll + self.log_rate - math.log(len(rows) + 1) + log_q, (prop, ll_p)
 
     def death(self, index, log_q):
         rows, ll = self.state
@@ -300,16 +304,21 @@ class _AugerChain(rjmcmc.Chain):
         return ll_p - ll - self.log_rate + math.log(len(rows)) + log_q, (prop, ll_p)
 
     def update(self, j):
-        # reflected walk on the arrival, log-scale walk on the amplitude
-        cfg, rng, (rows, ll) = self.config, self.rng, self.state
-        t_new = rjmcmc.reflect(rows[j, 0] + cfg.t_step * rng.standard_normal(), self.lo, self.hi)
-        a_old = rows[j, 1]
-        a_new = a_old * math.exp(cfg.log_a_step * rng.standard_normal())
+        # reflected walk on the arrival, log-scale walk on the amplitude.  Step
+        # j changes only row j and the engine sorts after the sweep, so every
+        # step's proposal is drawn from the state at the sweep's start
+        cfg, (rows, ll) = self.config, self.state
+        if j == 0:
+            z = self.rng.standard_normal((2, len(rows)))
+            with np.errstate(over="ignore"):  # a step to +-inf is rejected
+                t = [rjmcmc.reflect(x, self.lo, self.hi) for x in rows[:, 0] + cfg.t_step * z[0]]
+                a = rows[:, 1] * np.exp(cfg.log_a_step * z[1])
+            self._sweep = np.column_stack([t, a, _unit_masses(t, self.edges, cfg.pulse)])
+        a_old, a_new = rows[j, 1], self._sweep[j, 1]
         if not 0.0 < a_new <= cfg.a_max:  # outside the prior, or underflowed to 0
             return None
         prop = rows.copy()
-        prop[j, :2] = (t_new, a_new)
-        prop[j, 2:] = _unit_masses(t_new, self.edges, cfg.pulse)[0]
+        prop[j] = self._sweep[j]
         ll_p = self._loglik(prop)
         # Gamma prior ratio plus the log-walk Jacobian a_new/a_old
         log_r = (ll_p - ll + cfg.amp_alpha * math.log(a_new / a_old)

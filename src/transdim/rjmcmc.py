@@ -26,8 +26,12 @@ def _log_prob_ratio(num: float, den: float) -> float:
 
 def reflect(x: float, lo: float, hi: float) -> float:
     """Fold a random-walk step back into [lo, hi] by mirroring at the edges;
-    the folded walk stays symmetric."""
+    the folded walk stays symmetric.  A point more than 32 periods 2(hi - lo)
+    from lo is first moved by whole periods, which the folding ignores."""
     while x < lo or x > hi:
+        if abs(x - lo) > 64.0 * (hi - lo):
+            period = 2.0 * (hi - lo)
+            x = lo + (math.fmod(x, period) - math.fmod(lo, period))
         if x < lo:
             x = 2.0 * lo - x
         if x > hi:
@@ -66,9 +70,11 @@ class Chain:
     proposed_state)``, log_r being the full log acceptance ratio and log_q
     the log ratio of the reverse to the forward move probability; ``update``
     returns None for a step outside the prior, rejected without an accept
-    draw.  ``refresh`` runs after every move and counts the sampler's
-    ``extra_moves``; ``record`` returns the (k, d) array to store and
-    ``extras`` the sampler's entries of ``provenance["extras"]``.
+    draw.  A sweep's step j changes only component j, so ``update(0)`` may
+    draw the proposals of the whole sweep.  ``refresh`` runs after every
+    move and counts the sampler's ``extra_moves``; ``record`` returns the
+    (k, d) array to store and ``extras`` the sampler's entries of
+    ``provenance["extras"]``.
     """
 
     sampler: str  # the provenance "sampler" entry
@@ -84,42 +90,14 @@ class Chain:
 
 def run(chain: Chain) -> SampleSet:
     """Run ``chain.config.iterations`` iterations and ingest the thinned states."""
-    config, rng = chain.config, chain.rng
+    config = chain.config
     if not np.isfinite(chain.state[1]):
         raise ModelError("initial state has zero posterior density")
-    log_db = _log_prob_ratio(config.death_prob, config.birth_prob)
-    birth_or_death = config.birth_prob + config.death_prob
     attempts = dict.fromkeys(("birth", "death", "update") + chain.extra_moves, 0)
     accepts = dict.fromkeys(attempts, 0)
     records: list[np.ndarray] = []
-
-    def metropolis(move: str, proposal) -> None:
-        log_r, prop = proposal
-        if math.log(rng.random()) < log_r:
-            chain.state = prop
-            accepts[move] += 1
-
     for it in range(config.iterations):
-        k = len(chain.state[0])
-        u = rng.random()
-        if u < config.birth_prob:
-            attempts["birth"] += 1
-            if k < config.k_max:
-                metropolis("birth", chain.birth(log_db))
-        elif u < birth_or_death:
-            attempts["death"] += 1
-            if k > 0:
-                metropolis("death", chain.death(int(rng.integers(k)), -log_db))
-        else:
-            for j in range(k):
-                attempts["update"] += 1
-                proposal = chain.update(j)
-                if proposal is not None:
-                    metropolis("update", proposal)
-            if k:
-                comps, *rest = chain.state
-                chain.state = (comps[np.argsort(comps.reshape(k, -1)[:, 0])], *rest)
-        chain.refresh(attempts, accepts)
+        _step(chain, attempts, accepts)
         if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0:
             records.append(chain.record())
 
@@ -129,3 +107,36 @@ def run(chain: Chain) -> SampleSet:
                   "thinning": config.thinning,
                   "extras": {"acceptance_rates": rates, "k_max": config.k_max, **chain.extras()}}
     return SampleSet.ingest(chain.space, records, provenance)
+
+
+def _step(chain: Chain, attempts: dict, accepts: dict) -> None:
+    """One iteration: a birth, a death or an update sweep, then the refresh."""
+    config, rng = chain.config, chain.rng
+    log_db = _log_prob_ratio(config.death_prob, config.birth_prob)
+
+    def metropolis(move: str, proposal) -> None:
+        log_r, prop = proposal
+        if math.log(rng.random()) < log_r:
+            chain.state = prop
+            accepts[move] += 1
+
+    k = len(chain.state[0])
+    u = rng.random()
+    if u < config.birth_prob:
+        attempts["birth"] += 1
+        if k < config.k_max:
+            metropolis("birth", chain.birth(log_db))
+    elif u < config.birth_prob + config.death_prob:
+        attempts["death"] += 1
+        if k > 0:
+            metropolis("death", chain.death(int(rng.integers(k)), -log_db))
+    else:
+        for j in range(k):
+            attempts["update"] += 1
+            proposal = chain.update(j)
+            if proposal is not None:
+                metropolis("update", proposal)
+        if k:
+            comps, *rest = chain.state
+            chain.state = (comps[np.argsort(comps.reshape(k, -1)[:, 0])], *rest)
+    chain.refresh(attempts, accepts)

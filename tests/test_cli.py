@@ -1,18 +1,24 @@
 """Command-line entry points and the replication harness.
 
 Everything runs in-process through cli.main(argv) so exit codes and file
-outputs can be asserted without subprocesses.  Chains here are short; the
-point is wiring, not inference quality.
+outputs can be asserted without subprocesses, apart from the runs that
+check that a command ends, which run in a subprocess under a timeout.
+Chains here are short; the point is wiring, not inference quality.
 """
 
 import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import transdim
 from transdim import cli, diagnostics, montecarlo
 from transdim.fit import FitConfig, sem_fit
 from transdim.model import ApproxModel, GaussianComponent, ModelError, ParamSpace, SampleSet
@@ -166,6 +172,31 @@ def test_non_finite_trace_geometry_is_data_error(tmp_path, capsys, geometry):
     assert rc == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate-auger", ["--muon", "100:50", "--t-step", "1e20"]),
+    ("simulate-sin", ["--rw-step", "1e20"]),
+])
+def test_random_walk_step_far_beyond_the_window_ends(tmp_path, command, flags):
+    # reflecting a step of 1e20 back into the window never ended
+    out = tmp_path / "x"
+    env = dict(os.environ, PYTHONPATH=str(Path(transdim.__file__).parents[1]))
+    argv = [sys.executable, "-m", "transdim.cli", command, "--seed", "1", "--out", str(out),
+            "--iterations", "300", "--burn-in", "100", *flags]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert out.exists()
+
+
+def test_auger_amplitude_step_overflowing_to_inf_is_rejected(tmp_path):
+    # exp(log_a_step * z) overflowed in math.exp and exited 3
+    out = tmp_path / "x"
+    rc = cli.main(["simulate-auger", "--seed", "1", "--muon", "100:50", "--iterations", "300",
+                   "--burn-in", "100", "--log-a-step", "1000", "--out", str(out)])
+    assert rc == 0
+    amps = read_samples(out).points[:, 1]
+    assert np.all((amps > 0.0) & (amps <= AugerChainConfig().a_max))
 
 
 def test_auger_without_muons_or_file_is_data_error(tmp_path):

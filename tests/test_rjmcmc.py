@@ -7,11 +7,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc, gammaincinv, gammaln
 
 from transdim import muons, rjmcmc, sinusoid
 from transdim.muons import (
     AugerChainConfig,
     PECountSignal,
+    PulseShape,
     expected_bin_counts,
     log_likelihood_pe,
     rjmcmc_run_auger,
@@ -101,13 +103,30 @@ def test_reflect_stays_in_a_shifted_window():
         assert reflect(x, 20.0, 520.0) == want
 
 
+@pytest.mark.parametrize("x", [1e20, -1e20, -3e300, 1.7e308])
+def test_reflect_returns_for_a_point_far_outside(x):
+    # 2*hi - x rounded back to -x at 1e20, and the folding never ended
+    assert 0.0 <= reflect(x, 0.0, 750.0) <= 750.0
+    assert -1.0 <= reflect(x, -1.0, 2.0) <= 2.0
+
+
+def test_reflect_moves_a_far_point_by_whole_periods():
+    # the period of the folding is 2(hi - lo) = 1500; these are exact
+    for x, want in ((1.5e9 + 250.25, 250.25), (-1.5e9 + 100.5, 100.5), (1.5e9 + 1000.0, 500.0),
+                    (-1.5e9 - 100.0, 100.0)):
+        assert reflect(x, 0.0, 750.0) == want
+
+
 # ---------------------------------------------------------------------------
 # cached likelihood state against a fresh recompute after every iteration
 # ---------------------------------------------------------------------------
 
 
 class _CheckedAuger(muons._AugerChain):
-    """Checks the cached mass rows and log likelihood after every iteration."""
+    """Checks the cached mass rows and log likelihood after every iteration.
+    The mass rows must be exact; the log likelihood sums the bin means as
+    one product, in another order than ``expected_bin_counts``, so it is
+    compared to a relative 1e-12."""
 
     def refresh(self, attempts, accepts):
         super().refresh(attempts, accepts)
@@ -121,7 +140,7 @@ class _CheckedAuger(muons._AugerChain):
             assert np.array_equal(np.array(masses), unit)
         fresh = log_likelihood_pe(self.signal.counts,
                                   expected_bin_counts(rows[:, :2], self.signal, shape))
-        assert ll == fresh
+        assert ll == pytest.approx(fresh, rel=1e-12, abs=0.0)
 
 
 class _CheckedSin(sinusoid._SinChain):
@@ -153,6 +172,22 @@ def test_muon_cached_state_equals_recompute(start, settings):
     assert len(chain.ks) > 1  # births and deaths were accepted
 
 
+@pytest.mark.parametrize("k", range(13))
+def test_muon_loglik_matches_the_reference_on_shuffled_rows(k):
+    # k = 0 gives -inf on this trace; test_muons checks that it sets no
+    # floating-point flag
+    signal = _two_muons()
+    chain = muons._AugerChain(signal, AugerChainConfig(a_max=100.0, rng_seed=0))
+    rng = np.random.default_rng(k)
+    lo, hi = signal.window
+    for _ in range(20):
+        muon = np.column_stack([rng.uniform(lo - 100.0, hi, k), rng.uniform(1.0, 100.0, k)])
+        rows = np.hstack([muon, muons._unit_masses(muon[:, 0], signal.edges(), PulseShape())])
+        rows = rows[rng.permutation(k)]
+        ref = log_likelihood_pe(signal.counts, expected_bin_counts(muon, signal))
+        assert chain._loglik(rows) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("settings", [
     {},
     {"init_omega": (0.63, 0.73)},
@@ -165,3 +200,61 @@ def test_sinusoid_cached_state_equals_recompute(settings):
     chain.ks = set()
     rjmcmc.run(chain)
     assert len(chain.ks) > 1
+
+
+# ---------------------------------------------------------------------------
+# joint-distribution test (Geweke 2004, "Getting it right"): alternate one
+# engine iteration with a fresh data draw y ~ p(y | theta); the theta marginal
+# of that chain is the prior, so any error in a move's acceptance ratio or
+# in the cached likelihood shows as a drift away from it
+# ---------------------------------------------------------------------------
+
+GEWEKE_BATCHES = 50
+GEWEKE_Z_BOUND = 4.0  # fixed before the first run
+
+
+def _batch_means_z(values, expected):
+    """z-scores of the column means against ``expected``, with the Monte
+    Carlo error from non-overlapping batch means."""
+    batches = values.reshape(GEWEKE_BATCHES, -1, values.shape[1]).mean(axis=1)
+    se = batches.std(axis=0, ddof=1) / math.sqrt(GEWEKE_BATCHES)
+    return (values.mean(axis=0) - expected) / se
+
+
+def test_muon_sampler_keeps_the_prior_under_successive_conditional_draws():
+    n_iter, window, a_max, alpha, beta, rate, k_max = 100_000, 300.0, 30.0, 2.0, 0.2, 2.0, 5
+    signal = PECountSignal(np.zeros(12, dtype=np.int64))  # bins of 25 over (0, 300)
+    cfg = AugerChainConfig(iterations=1, burn_in=0, k_max=k_max, rate=rate, amp_alpha=alpha,
+                           amp_beta=beta, a_max=a_max, rng_seed=31)
+    chain = muons._AugerChain(signal, cfg)
+    rng = np.random.default_rng(32)
+
+    # the prior: k ~ Poisson(rate) on 0..k_max, arrivals uniform on the
+    # window, amplitudes Gamma(alpha, rate beta) truncated to (0, a_max]
+    pk = np.array([rate**k / math.factorial(k) for k in range(k_max + 1)])
+    pk /= pk.sum()
+    mean_k, mass = float(pk @ np.arange(k_max + 1)), gammainc(alpha, beta * a_max)
+    mean_a = alpha / beta * gammainc(alpha + 1, beta * a_max) / mass
+    mean_a2 = alpha * (alpha + 1) / beta**2 * gammainc(alpha + 2, beta * a_max) / mass
+
+    k0 = rng.choice(k_max + 1, p=pk)
+    start = np.column_stack([rng.uniform(0.0, window, k0),
+                             gammaincinv(alpha, rng.uniform(0.0, mass, k0)) / beta])
+    rows = np.hstack([start, muons._unit_masses(start[:, 0], chain.edges, cfg.pulse)])
+    attempts = dict.fromkeys(("birth", "death", "update"), 0)
+    accepts = dict.fromkeys(attempts, 0)
+    stats = np.empty((n_iter, 6))
+    for i in range(n_iter):
+        counts = rng.poisson(expected_bin_counts(rows[:, :2], signal, cfg.pulse))
+        chain.n, chain.log_n_fact = counts.astype(float), np.sum(gammaln(counts + 1.0))
+        chain.state = (rows, chain._loglik(rows))
+        rjmcmc._step(chain, attempts, accepts)
+        rows = chain.state[0]
+        t, a = rows[:, 0] / window, rows[:, 1] / a_max
+        stats[i] = (t.size, t.size == 0, t.sum(), t @ t, a.sum(), a @ a)
+
+    expected = np.array([mean_k, pk[0], mean_k / 2, mean_k / 3, mean_k * mean_a / a_max,
+                         mean_k * mean_a2 / a_max**2])
+    z = _batch_means_z(stats, expected)
+    assert min(accepts.values()) > 0
+    assert np.all(np.abs(z) < GEWEKE_Z_BOUND), z
