@@ -6,9 +6,10 @@ evaluates the completed negative log-likelihood, and re-estimates the model
 parameters with robust statistics.  Components that attract too few samples
 are pruned, and the returned model averages the final window of iterations.
 
-The E-step computes the log allocation weights once per model, and one
-sweep over every record, sorted by k, both draws the proposal and scores
-the current allocation.
+The E-step computes the log allocation weights once per model, label-major
+(L+1, P) so that each reduction over the labels is elementwise, and one sweep
+over every record, sorted by k, both draws the proposal and scores the
+current allocation.
 """
 
 from __future__ import annotations
@@ -234,27 +235,28 @@ def _log_weights(points: np.ndarray, model: ApproxModel) -> np.ndarray:
 
 
 def _joint_logdens(logw: np.ndarray, Z: np.ndarray, model: ApproxModel, rows: _Rows) -> np.ndarray:
-    """Joint log density per row; Z is 0-based (P,).  Each gate that no point
-    uses contributes log(1 - pi_l).  Each k-group sums its own (n, k) run, as
-    numpy's pairwise summation groups rows of 8 or more terms by their width."""
-    picked = logw[np.arange(Z.size), Z]
+    """Joint log density per row; ``logw`` is (L+1, P) and Z 0-based (P,).
+    Each gate that no point uses, per the (L+1, M) mask ``used``, contributes
+    log(1 - pi_l).  Each k-group sums its own (n, k) run, as numpy's pairwise
+    summation groups rows of 8 or more terms by their width."""
+    picked = logw[Z, np.arange(Z.size)]
     data = np.empty(rows.ks.size)
     for k, a, b in rows.groups:
         data[a:b] = picked[rows.start[a]:rows.start[b]].reshape(b - a, k).sum(axis=1)
-    used = np.zeros((rows.ks.size, model.L + 1), dtype=bool)
-    used[rows.row, Z] = True
+    used = np.zeros((model.L + 1, rows.ks.size), dtype=bool)
+    used[Z, rows.row] = True
     with np.errstate(divide="ignore"):
-        closed = np.where(used[:, :model.L], 0.0, np.log1p(-model.pis())).sum(axis=1)
+        closed = np.where(used[:model.L], 0.0, np.log1p(-model.pis())[:, None]).sum(axis=0)
     return (-model.lam - rows.lgk) + data + closed
 
 
 def _logsumexp(w):
-    """Log-sum-exp over the last axis, shifted by the maximum; a slice whose
-    entries are all -inf gives -inf."""
-    top = w.max(axis=-1, keepdims=True)
+    """Log-sum-exp over the leading (label) axis, shifted by the maximum; a
+    slice whose entries are all -inf gives -inf."""
+    top = w.max(axis=0)
     top[top == -np.inf] = 0.0
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(w - top).sum(axis=-1)) + top[..., 0]
+        return np.log(np.exp(w - top).sum(axis=0)) + top
 
 
 def _draws(rng, rows: _Rows, L: int, u=None):
@@ -281,11 +283,13 @@ def _sequential_sweep(logw, rows: _Rows, visit, gumbel, L, Z0):
     allocation that reuses no Gaussian label; score the current allocation
     Z0 along the same order in the same sweep.
 
-    Row layout: rows are the records sorted by ascending k, and ``logw``
-    (P, L+1), ``Z0`` and the returned labels are record-major over the P
-    points, point j of row r at ``rows.start[r] + j``, so each k-group is one
-    contiguous (n, k) run.  Visit t touches the rows with k > t, the suffix
-    ``rows.lo[t]:``, so every k-group shares one sweep of max k visits.
+    Row layout: rows are the records sorted by ascending k.  ``logw`` is
+    label-major (L+1, P); its point axis, ``Z0`` and the returned labels are
+    record-major, point j of row r at ``rows.start[r] + j``, so each k-group
+    is one contiguous (n, k) run.  Visit t touches the rows with k > t, the
+    suffix ``rows.lo[t]:``, so every k-group shares one sweep of max k
+    visits; the available labels are an (L+1, 2, M) mask, and each visit's
+    weights are (L+1, 2, n), reduced over the leading label axis.
     ``visit`` (P,) and ``gumbel`` (P, L+1) are visit-major: entry
     ``rows.pos[t] + i`` holds the point that row ``lo[t] + i`` visits at
     step t and that visit's Gumbel noise; ``rows.vm`` maps each entry to
@@ -300,19 +304,19 @@ def _sequential_sweep(logw, rows: _Rows, visit, gumbel, L, Z0):
     lay = np.arange(2)[:, None]  # layer 0 is the proposal, layer 1 is Z0
     seq = np.empty((2, visit.size), dtype=np.int64)  # labels in visit order
     seq[1] = Z0[visit]
-    avail = np.ones((2, M, L + 1), dtype=bool)
+    avail = np.ones((L + 1, 2, M), dtype=bool)
     logrho = np.zeros((2, M))
     for t, s in enumerate(rows.lo):
         vis = slice(rows.pos[t], rows.pos[t + 1])
-        w = np.where(avail[:, s:], np.take(logw, visit[vis], axis=0), -np.inf)
+        w = np.where(avail[:, :, s:], np.take(logw, visit[vis], axis=1)[:, None], -np.inf)
         norm = _logsumexp(w)
         forced = norm == -np.inf
-        seq[0, vis] = np.where(forced[0], L, (w[0] + gumbel[vis]).argmax(axis=1))
+        seq[0, vis] = np.where(forced[0], L, (w[:, 0] + gumbel[vis].T).argmax(axis=0))
         c = seq[:, vis]
         with np.errstate(invalid="ignore"):
-            raw = w[lay, idx[:M - s], c] - norm
+            raw = w[c, lay, idx[:M - s]] - norm
         logrho[:, s:] += np.where(forced, np.where(c == L, 0.0, -np.inf), raw)
-        avail[lay, idx[s:], c] = c == L
+        avail[c, lay, idx[s:]] = c == L
     Z = np.empty_like(Z0)
     Z[visit] = seq[0]
     return (Z, *logrho)
@@ -329,7 +333,7 @@ def _imh_steps(points, rows: _Rows, Z, model, rng, steps):
     current state of zero joint density is escaped unconditionally.
     """
     L = model.L
-    logw = _log_weights(points, model)
+    logw = _log_weights(points, model).T.copy()
     joint = _joint_logdens(logw, Z, model, rows)
     for _ in range(steps):  # FitConfig keeps steps >= 1, so accept is always bound
         u = np.zeros(rows.ks.size)  # k = 0 rows draw nothing; log(0) accepts
@@ -444,7 +448,7 @@ def sem_fit(samples: SampleSet, config: FitConfig) -> FitResult:
         notes.append(f"fixed_L={config.fixed_L} lowered to {model.L}, the largest k observed")
 
     # first allocation: a proposal against all outliers, which it ignores
-    Z = _sequential_sweep(_log_weights(pts, model), rows, *_draws(rng, rows, model.L),
+    Z = _sequential_sweep(_log_weights(pts, model).T.copy(), rows, *_draws(rng, rows, model.L),
                           model.L, np.full(pts.shape[0], model.L))[0]
 
     trace = FitTrace()

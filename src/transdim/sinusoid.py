@@ -294,7 +294,8 @@ class _SinChain(rjmcmc.Chain):
     def birth(self, log_q):
         # uniform new frequency; prior and proposal densities cancel
         omega, new = self.state[0], self.rng.random() * math.pi
-        return self._jump(np.insert(omega, np.searchsorted(omega, new), new), log_q, _LOG_PI)
+        i = np.searchsorted(omega, new)
+        return self._jump(np.concatenate((omega[:i], [new], omega[i:])), log_q, _LOG_PI)
 
     def death(self, index, log_q):
         return self._jump(np.delete(self.state[0], index), log_q, -_LOG_PI)

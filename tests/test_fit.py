@@ -308,7 +308,7 @@ def test_fused_sweep_matches_two_loop_reference(lam, k):
     rows = _Rows(np.full(n, k))
     draws = _draws(np.random.default_rng(7), rows, L)
 
-    Zp, lrho_p, lrho_c = _sequential_sweep(logw.reshape(n * k, L + 1), rows, *draws, L, Z0.ravel())
+    Zp, lrho_p, lrho_c = _sequential_sweep(logw.reshape(n * k, L + 1).T, rows, *draws, L, Z0.ravel())
     Zr, lrho_r = _reference_propose(logw, order, gumbel, L)
     assert np.array_equal(Zp.reshape(n, k), Zr)
     np.testing.assert_allclose(lrho_p, lrho_r, rtol=1e-12, atol=1e-12)
@@ -316,7 +316,7 @@ def test_fused_sweep_matches_two_loop_reference(lam, k):
         lrho_c, _reference_logprob(logw, order, Z0, L), rtol=1e-12, atol=1e-12
     )
     # the proposal layer never reads the current allocation
-    Zo, lrho_o, _ = _sequential_sweep(logw.reshape(n * k, L + 1), rows, *draws, L,
+    Zo, lrho_o, _ = _sequential_sweep(logw.reshape(n * k, L + 1).T, rows, *draws, L,
                                       np.full(n * k, L))
     assert np.array_equal(Zo, Zp) and np.array_equal(lrho_o, lrho_p)
     if lam == 0.0:
@@ -335,7 +335,7 @@ def test_sweep_normalises_over_the_available_labels_only():
     model = make_model([(0.0, 1.0)], [[0.2], [0.8]], [[1e-4], [1e-4]], [0.5, 0.5], 0.0)
     n, L = 2000, 2
     rows = _Rows(np.full(n, 2))
-    logw = _log_weights(np.tile([0.20, 0.21], n)[:, None], model)
+    logw = _log_weights(np.tile([0.20, 0.21], n)[:, None], model).T
     Z0 = np.tile([0, 1], n)
     Zp, lrho_p, lrho_c = _sequential_sweep(
         logw, rows, *_draws(np.random.default_rng(9), rows, L), L, Z0)
@@ -355,7 +355,7 @@ def _ragged_samples():
 
 @pytest.mark.parametrize("steps", [1, 3])
 @pytest.mark.parametrize("lam", [0.5, 0.0])
-def test_batched_estep_matches_per_group_reference(steps, lam):
+def test_batched_estep_matches_per_group_reference(steps, lam, L=3):
     """One sweep over all k-groups equals the per-group E-step, built from
     the two-loop reference and the per-record oracle.  The reference draws
     step-major: in each inner step, k-group by k-group in ascending k, visit
@@ -363,9 +363,10 @@ def test_batched_estep_matches_per_group_reference(steps, lam):
     nothing.  Rows of 9 points pass numpy's 8-wide pairwise summation
     block."""
     ss = _ragged_samples()
-    L = 3
-    model = make_model([(0.0, 1.0)] * 2, [[0.2, 0.3], [0.5, 0.7], [0.8, 0.4]],
-                       [[0.004, 0.003]] * 3, [0.9, 0.6, 0.8], lam)
+    mus = [[0.2, 0.3], [0.5, 0.7], [0.8, 0.4], [0.25, 0.35], [0.45, 0.65], [0.75, 0.45],
+           [0.5, 0.4], [0.3, 0.6], [0.7, 0.7]]
+    model = make_model([(0.0, 1.0)] * 2, mus[:L], [[0.004, 0.003]] * L,
+                       [0.9, 0.6, 0.8, 0.7, 0.5, 0.6, 0.4, 0.3, 0.5][:L], lam)
     clutter = ApproxModel(model.space, model.components, 3.0)
     groups = [(k, P) for k, _, P in ss.by_k()]
     start = np.random.default_rng(3)
@@ -405,6 +406,16 @@ def test_batched_estep_matches_per_group_reference(steps, lam):
     assert np.isfinite(got_joint).any()
 
 
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("lam", [0.5, 0.0])
+def test_batched_estep_matches_per_group_reference_at_ten_labels(steps, lam):
+    """As above with L = 9.  The sweep sums its ten labels along a leading
+    axis, one after another, where the references sum a contiguous row of
+    ten pairwise, so the log proposal probabilities may differ in the last
+    bit; the labels and accepts must still match exactly."""
+    test_batched_estep_matches_per_group_reference(steps, lam, L=9)
+
+
 def test_one_step_fit_on_ragged_records_is_unchanged():
     """Labels, criteria and final model of a one-inner-step fit over records
     of k = 0, 1, 2, 3 and 9 hash to the digest recorded when the E-step still
@@ -425,7 +436,7 @@ def test_logsumexp_matches_scipy_on_rows_with_neginf():
     w[:7] = -np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _logsumexp(w)
+        got = _logsumexp(w.T)
     assert np.all(np.isneginf(got[:7]))
     np.testing.assert_allclose(got, logsumexp(w, axis=1), rtol=1e-12, atol=0.0)
 
