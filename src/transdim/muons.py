@@ -6,7 +6,9 @@ counts are Poisson with means obtained by integrating the summed per-muon
 intensities over each bin.  The chain explores (k, {(t, a)}) with uniform
 arrival times over the observation window, a Gamma prior on amplitudes
 (truncated to the amplitude box), and a truncated Poisson prior on k.  The
-chain runs on the shared engine of :mod:`transdim.rjmcmc`.
+chain runs on the shared engine of :mod:`transdim.rjmcmc`, which owns birth
+and death; this module supplies a muon drawn from the priors, the Poisson
+likelihood and the update sweep.
 """
 
 from __future__ import annotations
@@ -270,8 +272,8 @@ class _AugerChain(rjmcmc.Chain):
         self.edges, self.n = signal.edges(), signal.counts.astype(float)
         self.log_n_fact = np.sum(gammaln(self.n + 1.0))
         rows = np.hstack([muons, _unit_masses(muons[:, 0], self.edges, config.pulse)])
-        self.state = (rows, self._loglik(rows))
-        self.log_rate = math.log(config.rate)
+        self.state = self.score(rows)
+        self.rate = config.rate
 
     def _loglik(self, rows: np.ndarray) -> float:
         """``log_likelihood_pe(counts, expected_bin_counts(muons))`` up to the
@@ -280,28 +282,21 @@ class _AugerChain(rjmcmc.Chain):
         nbar = rows[:, 1] @ rows[:, 2:]
         return float(xlogy(self.n, nbar).sum() - nbar.sum() - self.log_n_fact)
 
-    def birth(self, log_q):
-        # new muon from the priors; prior and proposal densities cancel.  The
-        # amplitude prior is Gamma truncated to (0, a_max]: a Gamma draw that
-        # misses it is replaced by an exact inverse-CDF draw, which misses
-        # again only by rounding to 0 (a tiny amp_alpha)
-        cfg, rng, (rows, ll) = self.config, self.rng, self.state
+    def score(self, rows: np.ndarray):
+        return rows, self._loglik(rows)
+
+    def new_row(self):
+        # a muon from the priors.  The amplitude prior is Gamma truncated to
+        # (0, a_max]: a Gamma draw that misses it is replaced by an exact
+        # inverse-CDF draw, which misses again only by rounding to 0 (a tiny
+        # amp_alpha)
+        cfg, rng = self.config, self.rng
         t = self.lo + (self.hi - self.lo) * rng.random()
         a = rng.gamma(cfg.amp_alpha, 1.0 / cfg.amp_beta)
         while not 0.0 < a <= cfg.a_max:
             u = rng.random() * gammainc(cfg.amp_alpha, cfg.amp_beta * cfg.a_max)
             a = min(gammaincinv(cfg.amp_alpha, u) / cfg.amp_beta, cfg.a_max)
-        i = np.searchsorted(rows[:, 0], t)
-        row = np.hstack([[t, float(a)], _unit_masses(t, self.edges, cfg.pulse)[0]])
-        prop = np.vstack([rows[:i], row, rows[i:]])
-        ll_p = self._loglik(prop)
-        return ll_p - ll + self.log_rate - math.log(len(rows) + 1) + log_q, (prop, ll_p)
-
-    def death(self, index, log_q):
-        rows, ll = self.state
-        prop = np.delete(rows, index, axis=0)
-        ll_p = self._loglik(prop)
-        return ll_p - ll - self.log_rate + math.log(len(rows)) + log_q, (prop, ll_p)
+        return np.hstack([[t, float(a)], _unit_masses(t, self.edges, cfg.pulse)[0]])
 
     def update(self, j):
         # reflected walk on the arrival, log-scale walk on the amplitude.  Step

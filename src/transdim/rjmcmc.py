@@ -63,17 +63,21 @@ class Chain:
 
     Each iteration picks birth, death or an update sweep with the configured
     probabilities; a birth at k_max or a death at k = 0 counts an attempt
-    and draws nothing more, and a sweep ends with the components sorted by
-    their first coordinate.  ``state`` is a tuple (components, log target
-    term, cached terms...).  ``birth(log_q)``, ``death(index, log_q)`` and
-    ``update(j)`` draw their own random numbers and return ``(log_r,
-    proposed_state)``, log_r being the full log acceptance ratio and log_q
-    the log ratio of the reverse to the forward move probability; ``update``
-    returns None for a step outside the prior, rejected without an accept
-    draw.  A sweep's step j changes only component j, so ``update(0)`` may
-    draw the proposals of the whole sweep.  ``refresh`` runs after every
-    move and counts the sampler's ``extra_moves``; ``record`` returns the
-    (k, d) array to store and ``extras`` the sampler's entries of
+    and draws nothing more.  ``state`` is a tuple (rows, log likelihood
+    term, cached terms...), the rows sorted by their first coordinate;
+    ``state[1]`` excludes the k prior and the component prior.  The engine
+    owns birth and death: a birth inserts ``new_row()``, one component drawn
+    from its prior, at its sorted place, and a death removes a uniform pick;
+    ``score(rows)`` returns the proposed state, and the acceptance ratio is
+    its likelihood ratio times the Poisson(``rate``) k-prior ratio and the
+    move-probability ratio, since the component prior and the birth's
+    proposal density cancel.  ``update(j)`` draws its own random numbers and
+    returns ``(log_r, proposed_state)``, or None for a step outside the
+    prior, rejected without an accept draw.  A sweep's step j changes only
+    component j, so ``update(0)`` may draw the proposals of the whole sweep;
+    the engine sorts the rows after it.  ``refresh`` runs after every move
+    and counts the sampler's ``extra_moves``; ``record`` returns the (k, d)
+    array to store and ``extras`` the sampler's entries of
     ``provenance["extras"]``.
     """
 
@@ -109,34 +113,44 @@ def run(chain: Chain) -> SampleSet:
     return SampleSet.ingest(chain.space, records, provenance)
 
 
+def _first(rows: np.ndarray) -> np.ndarray:
+    """First coordinate of each row; rows of shape (k,) are their own."""
+    return rows if rows.ndim == 1 else rows[:, 0]
+
+
 def _step(chain: Chain, attempts: dict, accepts: dict) -> None:
     """One iteration: a birth, a death or an update sweep, then the refresh."""
     config, rng = chain.config, chain.rng
     log_db = _log_prob_ratio(config.death_prob, config.birth_prob)
 
-    def metropolis(move: str, proposal) -> None:
-        log_r, prop = proposal
+    def metropolis(move: str, log_r: float, prop: tuple) -> None:
         if math.log(rng.random()) < log_r:
             chain.state = prop
             accepts[move] += 1
 
-    k = len(chain.state[0])
+    rows, lik = chain.state[:2]
+    k = len(rows)
     u = rng.random()
     if u < config.birth_prob:
         attempts["birth"] += 1
         if k < config.k_max:
-            metropolis("birth", chain.birth(log_db))
+            row = np.array([chain.new_row()])
+            i = np.searchsorted(_first(rows), _first(row)[0])
+            prop = chain.score(np.concatenate((rows[:i], row, rows[i:])))
+            log_r = prop[1] - lik + math.log(chain.rate) - math.log(k + 1) + log_db
+            metropolis("birth", log_r, prop)
     elif u < config.birth_prob + config.death_prob:
         attempts["death"] += 1
         if k > 0:
-            metropolis("death", chain.death(int(rng.integers(k)), -log_db))
+            prop = chain.score(np.delete(rows, int(rng.integers(k)), axis=0))
+            metropolis("death", prop[1] - lik - math.log(chain.rate) + math.log(k) - log_db, prop)
     else:
         for j in range(k):
             attempts["update"] += 1
             proposal = chain.update(j)
             if proposal is not None:
-                metropolis("update", proposal)
+                metropolis("update", *proposal)
         if k:
-            comps, *rest = chain.state
-            chain.state = (comps[np.argsort(comps.reshape(k, -1)[:, 0])], *rest)
+            rows, *rest = chain.state
+            chain.state = (rows[np.argsort(_first(rows))], *rest)
     chain.refresh(attempts, accepts)

@@ -6,8 +6,10 @@ frequencies on (0, pi), and a Poisson prior on the number of sinusoids
 truncated at k_max.  Amplitudes and noise variance are integrated out, so
 the chain moves on (k, omega, delta2, rate).
 
-The chain runs on the shared engine of :mod:`transdim.rjmcmc`; this module
-supplies its frequency proposals and the refresh of delta2 and the rate.
+The chain runs on the shared engine of :mod:`transdim.rjmcmc`, which owns
+birth and death; this module supplies the uniform frequency draw of a birth,
+the marginal likelihood, the frequency random walk and the refresh of delta2
+and the rate.
 """
 
 from __future__ import annotations
@@ -183,16 +185,6 @@ def _log_trunc_series(rate: float, k_max: int) -> float:
     return float(m + math.log(np.exp(terms - m).sum()))
 
 
-_LOG_PI = math.log(math.pi)
-
-
-def _log_k_prior(k: int, rate: float, log_norm: float) -> float:
-    """Log pmf at k <= k_max of a Poisson(rate) truncated to {0..k_max},
-    log_norm being ``_log_trunc_series(rate, k_max)``, plus the uniform
-    frequency prior factor k*log(1/pi)."""
-    return k * math.log(rate) - float(gammaln(k + 1)) - log_norm - k * _LOG_PI
-
-
 def log_target_marginal(
     k: int, omega, y, delta2: float, rate: float, k_max: int = SinChainConfig.k_max
 ) -> float:
@@ -209,7 +201,9 @@ def log_target_marginal(
     if k > k_max:
         return -np.inf
     data, _ = _data_part(omega, y, delta2)
-    return data + _log_k_prior(k, rate, _log_trunc_series(rate, k_max))
+    # the Poisson(rate) k prior truncated to {0..k_max}, and the uniform frequency prior pi^-k
+    return data + (k * math.log(rate) - float(gammaln(k + 1)) - _log_trunc_series(rate, k_max)
+                   - k * math.log(math.pi))
 
 
 def log_marginal_likelihood(omega, y, delta2: float) -> float:
@@ -284,29 +278,15 @@ class _SinChain(rjmcmc.Chain):
         self.singular = self.records = 0
         self.delta2_sum = self.rate_sum = 0.0
 
-    def _score(self, omega: np.ndarray):
-        """``_data_part`` at the current delta2, counting zero-density proposals."""
+    def score(self, omega: np.ndarray):
+        """(omega, ``_data_part`` at the current delta2), counting zero-density proposals."""
         data, u = _data_part(omega, self.y, self.delta2)
         if not np.isfinite(data):
             self.singular += 1
-        return data, u
+        return omega, data, u
 
-    def birth(self, log_q):
-        # uniform new frequency; prior and proposal densities cancel
-        omega, new = self.state[0], self.rng.random() * math.pi
-        i = np.searchsorted(omega, new)
-        return self._jump(np.concatenate((omega[:i], [new], omega[i:])), log_q, _LOG_PI)
-
-    def death(self, index, log_q):
-        return self._jump(np.delete(self.state[0], index), log_q, -_LOG_PI)
-
-    def _jump(self, prop, log_q, log_pi):
-        """Birth or death to ``prop``; log_pi is the frequency prior's +-log(pi)."""
-        omega, data, _ = self.state
-        data_p, u_p = self._score(prop)
-        log_r = (data_p - data + _log_k_prior(prop.size, self.rate, self.log_norm)
-                 - _log_k_prior(omega.size, self.rate, self.log_norm) + log_q + log_pi)
-        return log_r, (prop, data_p, u_p)
+    def new_row(self):
+        return self.rng.random() * math.pi  # uniform on (0, pi), the frequency prior
 
     def update(self, j):
         # symmetric reflected random walk; positions stay fixed within the
@@ -315,7 +295,7 @@ class _SinChain(rjmcmc.Chain):
         prop = omega.copy()
         step = self.config.rw_step * self.rng.standard_normal()
         prop[j] = rjmcmc.reflect(omega[j] + step, 0.0, math.pi)
-        data_p, u_p = self._score(np.sort(prop))
+        _, data_p, u_p = self.score(np.sort(prop))
         return data_p - data, (prop, data_p, u_p)
 
     def refresh(self, attempts, accepts):

@@ -134,6 +134,28 @@ def test_unreachable_fixed_L_is_lowered_to_largest_k(caplog):
     )
 
 
+def test_fixed_L_from_a_single_record_keeps_its_components():
+    # 300 records with k <= 5 near four arrivals and one with k = 6: at
+    # fixed_L = 6 that one record is the whole pool, whose variances alone sit
+    # at the floor and send every point to clutter
+    space = ParamSpace(np.array([[0.0, 1000.0], [0.0, 500.0]]))
+    rng = np.random.default_rng(9)
+    truth = np.array([[100.0, 60.0], [300.0, 50.0], [500.0, 80.0], [700.0, 40.0]])
+
+    def record(k):
+        n = min(k, 4)
+        rows = truth[np.sort(rng.permutation(4)[:n])] + rng.normal(0.0, [3.0, 5.0], (n, 2))
+        return np.vstack([rows, rng.uniform([0.0, 0.0], [1000.0, 100.0], (k - n, 2))])
+
+    arrays = [record(k) for k in rng.choice([3, 4, 5], 300, p=[0.2, 0.6, 0.2])] + [record(6)]
+    result = sem_fit(SampleSet.ingest(space, arrays),
+                     FitConfig(init_rule="fixed", fixed_L=6, iterations=5, averaging_window=2))
+    assert result.trace.models[1].L >= 4  # the components left after iteration 0
+    fitted = result.model.mus()
+    for t, a in truth:
+        assert np.min(np.abs(fitted - [t, a]).max(axis=1)) < 5.0
+
+
 # ---------------------------------------------------------------------------
 # allocation transition
 # ---------------------------------------------------------------------------

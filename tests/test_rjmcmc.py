@@ -7,7 +7,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammainc, gammaincinv, gammaln
+from scipy import integrate
+from scipy.special import digamma, gammainc, gammaincinv, gammaln
+from scipy.stats import gamma as gamma_law
 
 from transdim import muons, rjmcmc, sinusoid
 from transdim.muons import (
@@ -256,5 +258,55 @@ def test_muon_sampler_keeps_the_prior_under_successive_conditional_draws():
     expected = np.array([mean_k, pk[0], mean_k / 2, mean_k / 3, mean_k * mean_a / a_max,
                          mean_k * mean_a2 / a_max**2])
     z = _batch_means_z(stats, expected)
+    assert min(accepts.values()) > 0
+    assert np.all(np.abs(z) < GEWEKE_Z_BOUND), z
+
+
+def test_sinusoid_sampler_keeps_the_prior_under_successive_conditional_draws():
+    # y is drawn at sigma2 = 1: under the Jeffreys prior the posterior depends
+    # on y only through y/|y|, whose law given theta does not depend on sigma2
+    n_iter, N, k_max = 200_000, 16, 4
+    chain = sinusoid._SinChain(_three_tones(), SinChainConfig(iterations=1, burn_in=0,
+                                                              k_max=k_max, rw_step=0.05,
+                                                              rng_seed=41))
+    rng = np.random.default_rng(42)
+
+    # the prior: rate ~ Gamma(ALPHA_RATE, BETA_RATE), k | rate ~ Poisson(rate)
+    # on 0..k_max, frequencies uniform on (0, pi), delta2 ~ InvGamma(ALPHA_DELTA,
+    # BETA_DELTA); the k marginal by quadrature over the rate
+    def k_moment(f):
+        def integrand(r):
+            pk = np.array([r**k / math.factorial(k) for k in range(k_max + 1)])
+            return f(pk / pk.sum()) * gamma_law.pdf(r, sinusoid.ALPHA_RATE,
+                                                    scale=1.0 / sinusoid.BETA_RATE)
+        return integrate.quad(integrand, 0.0, np.inf)[0]
+
+    mean_k, p0 = k_moment(lambda pk: pk @ np.arange(k_max + 1)), k_moment(lambda pk: pk[0])
+    mean_log_delta2 = math.log(sinusoid.BETA_DELTA) - float(digamma(sinusoid.ALPHA_DELTA))
+    mean_rate = sinusoid.ALPHA_RATE / sinusoid.BETA_RATE
+
+    chain.rate = rng.gamma(sinusoid.ALPHA_RATE, 1.0 / sinusoid.BETA_RATE)
+    chain.log_norm = sinusoid._log_trunc_series(chain.rate, k_max)
+    chain.delta2 = sinusoid.BETA_DELTA / rng.gamma(sinusoid.ALPHA_DELTA)
+    pk = np.array([chain.rate**k / math.factorial(k) for k in range(k_max + 1)])
+    omega = np.sort(rng.uniform(0.0, math.pi, rng.choice(k_max + 1, p=pk / pk.sum())))
+    attempts = dict.fromkeys(("birth", "death", "update", "rate"), 0)
+    accepts = dict.fromkeys(attempts, 0)
+    draws = np.empty((n_iter, 6))
+    for i in range(n_iter):
+        # amplitudes a = sqrt(delta2) R^-1 z with R'R = D'D, the g-prior at sigma2 = 1
+        D = sinusoid.design_matrix(omega, N)
+        a = math.sqrt(chain.delta2) * np.linalg.solve(np.linalg.cholesky(D.T @ D).T,
+                                                      rng.standard_normal(2 * omega.size))
+        chain.y = D @ a + rng.standard_normal(N)
+        chain.yty = float(chain.y @ chain.y)
+        chain.state = chain.score(omega)
+        rjmcmc._step(chain, attempts, accepts)
+        omega = chain.state[0]
+        w = omega / math.pi
+        draws[i] = (w.size, w.size == 0, w.sum(), w @ w, math.log(chain.delta2), chain.rate)
+
+    expected = np.array([mean_k, p0, mean_k / 2, mean_k / 3, mean_log_delta2, mean_rate])
+    z = _batch_means_z(draws, expected)
     assert min(accepts.values()) > 0
     assert np.all(np.abs(z) < GEWEKE_Z_BOUND), z

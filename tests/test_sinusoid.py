@@ -14,6 +14,7 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln, logsumexp
 
+from transdim import rjmcmc
 from transdim.model import ModelError
 from transdim.oracle import quadrature_log_marginal
 from transdim.sinusoid import (
@@ -274,30 +275,40 @@ def test_non_finite_signal_is_refused(bad):
 # ---------------------------------------------------------------------------
 
 
-class _FixedUniform:
-    """Stands in for the chain's generator: every uniform draw is ``u``."""
+class _Scripted:
+    """Stands in for the chain's generator: ``random`` and ``integers``
+    return the scripted draws in turn."""
 
-    def __init__(self, u):
-        self.u = u
+    def __init__(self, *draws):
+        self.draws = list(draws)
 
     def random(self):
-        return self.u
+        return self.draws.pop(0)
+
+    def integers(self, k):
+        return self.draws.pop(0)
 
 
 def test_birth_then_death_restores_state_exactly():
     sig = generate_synthetic_signal(1, [0.9], [4.0], [0.3], 7.0, 16, seed=5)
     omega = np.array([0.4, 1.1, 2.9])
-    chain = _SinChain(sig, SinChainConfig(init_omega=tuple(omega)))
+    chain = _SinChain(sig, SinChainConfig(init_omega=tuple(omega), sample_delta2=False,
+                                          sample_rate=False))
     start = chain.state
-    # new frequencies inside the state and at both edges
+    attempts = dict.fromkeys(("birth", "death", "update", "rate"), 0)
+    accepts = dict(attempts)
+    # new frequencies inside the state and at both edges.  The engine's first
+    # draw picks the move (birth below 0.25, death below 0.5), and the last,
+    # 1e-300, accepts it
     for u, pos in ((0.75 / math.pi, 1), (0.1 / math.pi, 0), (3.0 / math.pi, 3)):
-        chain.rng, chain.state = _FixedUniform(u), start
-        _, grown = chain.birth(0.0)
-        assert grown[0].tolist() == [*omega[:pos], u * math.pi, *omega[pos:]]
-        chain.state = grown
-        _, back = chain.death(pos, 0.0)
-        assert np.array_equal(back[0], omega)
-        assert back[1] == start[1]
+        chain.rng, chain.state = _Scripted(0.1, u, 1e-300), start
+        rjmcmc._step(chain, attempts, accepts)
+        assert chain.state[0].tolist() == [*omega[:pos], u * math.pi, *omega[pos:]]
+        chain.rng = _Scripted(0.3, pos, 1e-300)
+        rjmcmc._step(chain, attempts, accepts)
+        assert np.array_equal(chain.state[0], omega)
+        assert chain.state[1] == start[1]
+    assert accepts["birth"] == accepts["death"] == 3
 
 
 # ---------------------------------------------------------------------------
