@@ -256,6 +256,9 @@ def _cmd_montecarlo(args) -> int:
     return EXIT_OK
 
 
+_ORACLE_CHECKS = ("gates", "sin-marginal", "pulse-bin")
+
+
 def _cmd_oracle(args) -> int:
     """Re-run the cheap cross-checks that back the test suite."""
     from . import oracle
@@ -264,11 +267,9 @@ def _cmd_oracle(args) -> int:
     from .muons import expected_bin_counts
     from .sinusoid import log_marginal_likelihood
 
-    checks = [args.check] if args.check else ["gates", "sin-marginal", "pulse-bin"]
-    failures = 0
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
 
-    if "gates" in checks:
+    def gates():
         pis = rng.uniform(0.05, 0.95, size=8)
         space = ParamSpace(np.array([[0.0, 1.0]]))
         comps = [
@@ -277,32 +278,29 @@ def _cmd_oracle(args) -> int:
         ]
         p = approx_posterior_k(ApproxModel(space, comps, 0.0))
         err = float(np.abs(p[:9] - oracle.gate_count_law(pis)).max())
-        ok = err < 1e-12
-        failures += not ok
-        print(f"gates: max abs deviation from enumeration {err:.3e} "
-              f"({'ok' if ok else 'FAIL'})")
+        return err < 1e-12, f"max abs deviation from enumeration {err:.3e}"
 
-    if "sin-marginal" in checks:
+    def sin_marginal():
         sig = generate_synthetic_signal(1, [0.9], [4.0], [0.3], 7.0, 8, seed=5)
         got = log_marginal_likelihood([0.9], sig.y, 8.0)
         ref = oracle.quadrature_log_marginal(sig.y, 0.9, 8.0)
         err = abs(got - ref)
-        ok = err < 1e-3
-        failures += not ok
-        print(f"sin-marginal: closed form {got:.6f} quadrature {ref:.6f} "
-              f"diff {err:.2e} ({'ok' if ok else 'FAIL'})")
+        return err < 1e-3, f"closed form {got:.6f} quadrature {ref:.6f} diff {err:.2e}"
 
-    if "pulse-bin" in checks:
+    def pulse_bin():
         sig = PECountSignal(np.zeros(20, dtype=np.int64))
         muon = [(100.0, 3.2)]
         out = expected_bin_counts(muon, sig)[6]
         ref = oracle.pulse_bin_quadrature(muon, sig.edges()[6:8])[0]
         err = abs(out - ref) / ref
-        ok = err < 1e-8
-        failures += not ok
-        print(f"pulse-bin: closed form {out:.12f} quadrature {ref:.12f} "
-              f"rel diff {err:.2e} ({'ok' if ok else 'FAIL'})")
+        return err < 1e-8, f"closed form {out:.12f} quadrature {ref:.12f} rel diff {err:.2e}"
 
+    failures = 0
+    for name, check in zip(_ORACLE_CHECKS, (gates, sin_marginal, pulse_bin)):
+        if args.check in (None, name):
+            ok, text = check()
+            failures += not ok
+            print(f"{name}: {text} ({'ok' if ok else 'FAIL'})")
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
@@ -404,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_montecarlo)
 
     p = sub.add_parser("oracle", help="run the cross-check oracles")
-    p.add_argument("--check", choices=("gates", "sin-marginal", "pulse-bin"))
+    p.add_argument("--check", choices=_ORACLE_CHECKS)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_oracle)
 

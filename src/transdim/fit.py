@@ -171,9 +171,9 @@ def initialize_model(samples: SampleSet, config: FitConfig) -> ApproxModel:
     scaled interquartile range of the l-th sorted component across those
     samples seed mu_l and sigma_l.  Falls back to samples with k >= L
     (taking the first L sorted components) when no sample has exactly k = L.
-    A fixed L above every observed k is lowered to the largest k.  From fewer
-    than ``prune_threshold`` records the variances are floored at the robust
-    variance of all points over L^2.
+    A fixed L above every observed k is lowered to the largest k.  A variance
+    from fewer than ``prune_threshold`` records, or one at ``SIGMA2_FLOOR``,
+    is floored at the robust variance of all points over L^2.
     """
     if len(samples) == 0:
         raise ModelError("cannot initialize from an empty sample set")
@@ -197,10 +197,12 @@ def initialize_model(samples: SampleSet, config: FitConfig) -> ApproxModel:
         for block in pool
     ])  # (n, L, d), each sample's first L components by first coordinate
     mu, sigma2 = _robust_moments(stacked)
-    if len(stacked) < config.prune_threshold:
-        # too few records to spread each rank: floor the variances at the
-        # spread of all points over L, so that one record cannot collapse them
-        sigma2 = np.maximum(sigma2, _robust_moments(samples.points)[1] / L**2)
+    low = (len(stacked) < config.prune_threshold) | (sigma2 == SIGMA2_FLOOR)
+    if low.any():
+        # too few records to spread each rank, or records that repeat one
+        # value: floor those variances at the spread of all points over L,
+        # so that neither one record nor a repeated state can collapse them
+        sigma2 = np.where(low, np.maximum(sigma2, _robust_moments(samples.points)[1] / L**2), sigma2)
     comps = [GaussianComponent(mu[l], sigma2[l], config.init_pi) for l in range(L)]
     return ApproxModel(space, comps, config.init_lambda)
 

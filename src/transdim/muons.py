@@ -251,7 +251,7 @@ class _AugerChain(rjmcmc.Chain):
     """State (rows, log likelihood of the rows as stored).  A row holds a
     muon's (arrival, amplitude) and then its ``_unit_masses`` row; rows are
     sorted by arrival, and the engine's sort by column 0 keeps each mass row
-    with its muon.  ``update(0)`` proposes the whole sweep's rows at once."""
+    with its muon.  ``sweep()`` proposes every row at its start."""
 
     sampler = "auger-rjmcmc"
 
@@ -298,27 +298,27 @@ class _AugerChain(rjmcmc.Chain):
             a = min(gammaincinv(cfg.amp_alpha, u) / cfg.amp_beta, cfg.a_max)
         return np.hstack([[t, float(a)], _unit_masses(t, self.edges, cfg.pulse)[0]])
 
-    def update(self, j):
+    def sweep(self):
         # reflected walk on the arrival, log-scale walk on the amplitude.  Step
         # j changes only row j and the engine sorts after the sweep, so every
         # step's proposal is drawn from the state at the sweep's start
-        cfg, (rows, ll) = self.config, self.state
-        if j == 0:
-            z = self.rng.standard_normal((2, len(rows)))
-            with np.errstate(over="ignore"):  # a step to +-inf is rejected
-                t = [rjmcmc.reflect(x, self.lo, self.hi) for x in rows[:, 0] + cfg.t_step * z[0]]
-                a = rows[:, 1] * np.exp(cfg.log_a_step * z[1])
-            self._sweep = np.column_stack([t, a, _unit_masses(t, self.edges, cfg.pulse)])
-        a_old, a_new = rows[j, 1], self._sweep[j, 1]
-        if not 0.0 < a_new <= cfg.a_max:  # outside the prior, or underflowed to 0
-            return None
-        prop = rows.copy()
-        prop[j] = self._sweep[j]
-        ll_p = self._loglik(prop)
-        # Gamma prior ratio plus the log-walk Jacobian a_new/a_old
-        log_r = (ll_p - ll + cfg.amp_alpha * math.log(a_new / a_old)
-                 - cfg.amp_beta * (a_new - a_old))
-        return log_r, (prop, ll_p)
+        cfg, start = self.config, self.state[0]
+        z = self.rng.standard_normal((2, len(start)))
+        with np.errstate(over="ignore"):  # a step to +-inf is rejected
+            t = [rjmcmc.reflect(x, self.lo, self.hi) for x in start[:, 0] + cfg.t_step * z[0]]
+            a = start[:, 1] * np.exp(cfg.log_a_step * z[1])
+        new = np.column_stack([t, a, _unit_masses(t, self.edges, cfg.pulse)])
+        for j, (a_old, a_new) in enumerate(zip(start[:, 1], a)):
+            if not 0.0 < a_new <= cfg.a_max:  # outside the prior, or underflowed to 0
+                yield None
+                continue
+            rows, ll = self.state
+            prop = rows.copy()
+            prop[j] = new[j]
+            ll_p = self._loglik(prop)
+            # Gamma prior ratio plus the log-walk Jacobian a_new/a_old
+            yield (ll_p - ll + cfg.amp_alpha * math.log(a_new / a_old)
+                   - cfg.amp_beta * (a_new - a_old)), (prop, ll_p)
 
     def record(self):
         return self.state[0][:, :2].copy()

@@ -64,21 +64,21 @@ class Chain:
     Each iteration picks birth, death or an update sweep with the configured
     probabilities; a birth at k_max or a death at k = 0 counts an attempt
     and draws nothing more.  ``state`` is a tuple (rows, log likelihood
-    term, cached terms...), the rows sorted by their first coordinate;
-    ``state[1]`` excludes the k prior and the component prior.  The engine
-    owns birth and death: a birth inserts ``new_row()``, one component drawn
-    from its prior, at its sorted place, and a death removes a uniform pick;
-    ``score(rows)`` returns the proposed state, and the acceptance ratio is
-    its likelihood ratio times the Poisson(``rate``) k-prior ratio and the
-    move-probability ratio, since the component prior and the birth's
-    proposal density cancel.  ``update(j)`` draws its own random numbers and
-    returns ``(log_r, proposed_state)``, or None for a step outside the
-    prior, rejected without an accept draw.  A sweep's step j changes only
-    component j, so ``update(0)`` may draw the proposals of the whole sweep;
-    the engine sorts the rows after it.  ``refresh`` runs after every move
-    and counts the sampler's ``extra_moves``; ``record`` returns the (k, d)
-    array to store and ``extras`` the sampler's entries of
-    ``provenance["extras"]``.
+    term, cached terms...), the rows a (k, d) array sorted by its first
+    column; ``state[1]`` excludes the k prior and the component prior.  The
+    engine owns birth and death: a birth inserts ``new_row()``, one
+    component drawn from its prior, at its sorted place, and a death removes
+    a uniform pick; ``score(rows)`` returns the proposed state, and the
+    acceptance ratio is its likelihood ratio times the Poisson(``rate``)
+    k-prior ratio and the move-probability ratio, since the component prior
+    and the birth's proposal density cancel.  ``sweep()`` is a generator
+    with one step per row of the state at its start: step j draws its own
+    random numbers, changes only row j, and yields ``(log_r,
+    proposed_state)``, or None for a step outside the prior, rejected
+    without an accept draw; the engine sorts the rows after the sweep.
+    ``refresh`` runs after every move and counts the sampler's
+    ``extra_moves``; ``record`` returns the (k, d) array to store and
+    ``extras`` the sampler's entries of ``provenance["extras"]``.
     """
 
     sampler: str  # the provenance "sampler" entry
@@ -113,11 +113,6 @@ def run(chain: Chain) -> SampleSet:
     return SampleSet.ingest(chain.space, records, provenance)
 
 
-def _first(rows: np.ndarray) -> np.ndarray:
-    """First coordinate of each row; rows of shape (k,) are their own."""
-    return rows if rows.ndim == 1 else rows[:, 0]
-
-
 def _step(chain: Chain, attempts: dict, accepts: dict) -> None:
     """One iteration: a birth, a death or an update sweep, then the refresh."""
     config, rng = chain.config, chain.rng
@@ -135,7 +130,7 @@ def _step(chain: Chain, attempts: dict, accepts: dict) -> None:
         attempts["birth"] += 1
         if k < config.k_max:
             row = np.array([chain.new_row()])
-            i = np.searchsorted(_first(rows), _first(row)[0])
+            i = rows[:, 0].searchsorted(row[0, 0])
             prop = chain.score(np.concatenate((rows[:i], row, rows[i:])))
             log_r = prop[1] - lik + math.log(chain.rate) - math.log(k + 1) + log_db
             metropolis("birth", log_r, prop)
@@ -145,12 +140,10 @@ def _step(chain: Chain, attempts: dict, accepts: dict) -> None:
             prop = chain.score(np.delete(rows, int(rng.integers(k)), axis=0))
             metropolis("death", prop[1] - lik - math.log(chain.rate) + math.log(k) - log_db, prop)
     else:
-        for j in range(k):
+        for proposal in chain.sweep():
             attempts["update"] += 1
-            proposal = chain.update(j)
             if proposal is not None:
                 metropolis("update", *proposal)
-        if k:
-            rows, *rest = chain.state
-            chain.state = (rows[np.argsort(_first(rows))], *rest)
+        rows, *rest = chain.state
+        chain.state = (rows.take(rows[:, 0].argsort(), axis=0), *rest)
     chain.refresh(attempts, accepts)

@@ -261,7 +261,8 @@ def generate_synthetic_signal(
 
 
 class _SinChain(rjmcmc.Chain):
-    """State (omega, data part, u of :func:`_data_part`); delta2 and the rate beside it."""
+    """State (omega as (k, 1) rows, data part, u of :func:`_data_part`);
+    delta2 and the rate beside it."""
 
     sampler = "sinusoid-rjmcmc"
     extra_moves = ("rate",)
@@ -271,32 +272,33 @@ class _SinChain(rjmcmc.Chain):
         if self.yty <= 0.0:
             raise ModelError("signal is identically zero")
         super().__init__(config, sin_param_space())
-        omega = np.sort(np.asarray(config.init_omega, dtype=float))
+        omega = np.sort(np.asarray(config.init_omega, dtype=float)).reshape(-1, 1)
         self.delta2, self.rate = config.delta2_init, config.rate_init
-        self.state = (omega, *_data_part(omega, self.y, self.delta2))
+        self.state = (omega, *_data_part(omega[:, 0], self.y, self.delta2))
         self.log_norm = _log_trunc_series(self.rate, config.k_max)  # at self.rate
         self.singular = self.records = 0
         self.delta2_sum = self.rate_sum = 0.0
 
     def score(self, omega: np.ndarray):
         """(omega, ``_data_part`` at the current delta2), counting zero-density proposals."""
-        data, u = _data_part(omega, self.y, self.delta2)
+        data, u = _data_part(omega[:, 0], self.y, self.delta2)
         if not np.isfinite(data):
             self.singular += 1
         return omega, data, u
 
     def new_row(self):
-        return self.rng.random() * math.pi  # uniform on (0, pi), the frequency prior
+        return [self.rng.random() * math.pi]  # uniform on (0, pi), the frequency prior
 
-    def update(self, j):
-        # symmetric reflected random walk; positions stay fixed within the
-        # sweep and the engine resorts the state after its last step
-        omega, data, _ = self.state
-        prop = omega.copy()
-        step = self.config.rw_step * self.rng.standard_normal()
-        prop[j] = rjmcmc.reflect(omega[j] + step, 0.0, math.pi)
-        _, data_p, u_p = self.score(np.sort(prop))
-        return data_p - data, (prop, data_p, u_p)
+    def sweep(self):
+        # symmetric reflected random walk, one normal per step; positions
+        # stay fixed within the sweep and the engine resorts the state after
+        for j in range(len(self.state[0])):
+            omega, data, _ = self.state
+            prop = omega.copy()
+            step = self.config.rw_step * self.rng.standard_normal()
+            prop[j, 0] = rjmcmc.reflect(omega[j, 0] + step, 0.0, math.pi)
+            _, data_p, u_p = self.score(np.sort(prop, axis=0))
+            yield data_p - data, (prop, data_p, u_p)
 
     def refresh(self, attempts, accepts):
         cfg, rng, yty, N = self.config, self.rng, self.yty, self.y.size
@@ -334,7 +336,7 @@ class _SinChain(rjmcmc.Chain):
         self.delta2_sum += self.delta2
         self.rate_sum += self.rate
         self.records += 1
-        return self.state[0].reshape(-1, 1).copy()
+        return self.state[0].copy()
 
     def extras(self):
         n = self.records

@@ -16,11 +16,13 @@ import pytest
 from scipy.special import logsumexp
 
 from transdim.fit import (
+    SIGMA2_FLOOR,
     FitConfig,
     _draws,
     _imh_steps,
     _log_weights,
     _logsumexp,
+    _robust_moments,
     _Rows,
     _sequential_sweep,
     choose_component_count,
@@ -154,6 +156,22 @@ def test_fixed_L_from_a_single_record_keeps_its_components():
     fitted = result.model.mus()
     for t, a in truth:
         assert np.min(np.abs(fitted - [t, a]).max(axis=1)) < 5.0
+
+
+def test_a_repeated_state_does_not_seed_a_zero_variance():
+    # 40 records of two muons whose arrivals move while 30 of them repeat one
+    # pair of amplitudes, as a chain that rejects its amplitude steps does: the
+    # pool is not thin, but its amplitude IQR is zero
+    space = ParamSpace(np.array([[0.0, 1000.0], [0.0, 500.0]]))
+    rng = np.random.default_rng(4)
+    arrivals = np.array([200.0, 600.0]) + rng.normal(0.0, 3.0, (40, 2))
+    amps = np.where(np.arange(40)[:, None] < 30, [60.0, 50.0], rng.uniform(40.0, 80.0, (40, 2)))
+    ss = SampleSet.ingest(space, list(np.stack([arrivals, amps], axis=-1)))
+    sigma2 = initialize_model(ss, FitConfig(init_rule="fixed", fixed_L=2)).sigma2s()
+    # the amplitudes take the all-points floor; the arrivals keep their own spread
+    assert sigma2[:, 1].tolist() == [_robust_moments(ss.points)[1][1] / 4] * 2
+    assert sigma2[:, 0].tolist() == _robust_moments(arrivals)[1].tolist()
+    assert np.all(sigma2 > 100 * SIGMA2_FLOOR)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,51 @@ def test_reflect_moves_a_far_point_by_whole_periods():
 
 
 # ---------------------------------------------------------------------------
+# the sampler contract: (k, d) rows and one sweep step per component
+# ---------------------------------------------------------------------------
+
+
+def _update_only_chain(sampler, k):
+    """A chain of either sampler started at k components that only updates;
+    the sinusoid's delta2 and rate are held, so its refresh draws nothing."""
+    if sampler == "sinusoid":
+        return sinusoid._SinChain(_three_tones(), SinChainConfig(
+            birth_prob=0.0, death_prob=0.0, init_omega=(0.63, 0.68, 0.73)[:k],
+            sample_delta2=False, sample_rate=False, rng_seed=6))
+    # a muon chain on a nonzero trace starts at one muon, on an empty trace at none
+    signal = _two_muons() if k else PECountSignal(np.zeros(30, dtype=np.int64))
+    return muons._AugerChain(signal, AugerChainConfig(
+        birth_prob=0.0, death_prob=0.0, rng_seed=6,
+        init_muons=((100.0, 40.0), (150.0, 60.0), (400.0, 50.0))[:k]))
+
+
+@pytest.mark.parametrize("sampler", ["sinusoid", "muons"])
+def test_an_update_at_k_zero_draws_only_the_move(sampler):
+    chain = _update_only_chain(sampler, 0)
+    assert chain.state[0].shape == (0, {"sinusoid": 1, "muons": 32}[sampler])
+    twin = np.random.default_rng(6)
+    twin.random()
+    attempts = dict.fromkeys(("birth", "death", "update") + chain.extra_moves, 0)
+    rjmcmc._step(chain, attempts, dict(attempts))
+    assert chain.rng.bit_generator.state == twin.bit_generator.state
+    assert attempts["update"] == 0
+
+
+@pytest.mark.parametrize("sampler", ["sinusoid", "muons"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_sweep_yields_once_per_component(sampler, k):
+    chain = _update_only_chain(sampler, k)
+    rows = chain.state[0]
+    assert rows.ndim == 2 and len(rows) == k
+    steps = list(chain.sweep())
+    assert len(steps) == k
+    assert all(step is None or step[1][0].shape == rows.shape for step in steps)
+    attempts = dict.fromkeys(("birth", "death", "update") + chain.extra_moves, 0)
+    rjmcmc._step(chain, attempts, dict(attempts))
+    assert attempts["update"] == k
+
+
+# ---------------------------------------------------------------------------
 # cached likelihood state against a fresh recompute after every iteration
 # ---------------------------------------------------------------------------
 
@@ -153,7 +198,7 @@ class _CheckedSin(sinusoid._SinChain):
         (omega, data, u), k_max = self.state, self.config.k_max
         self.ks.add(omega.size)
         assert self.log_norm == sinusoid._log_trunc_series(self.rate, k_max)
-        fresh, fresh_u = sinusoid._data_part(omega, self.y, self.delta2)
+        fresh, fresh_u = sinusoid._data_part(omega[:, 0], self.y, self.delta2)
         assert data == fresh
         assert np.array_equal(u, fresh_u)
 
@@ -300,9 +345,9 @@ def test_sinusoid_sampler_keeps_the_prior_under_successive_conditional_draws():
                                                       rng.standard_normal(2 * omega.size))
         chain.y = D @ a + rng.standard_normal(N)
         chain.yty = float(chain.y @ chain.y)
-        chain.state = chain.score(omega)
+        chain.state = chain.score(omega[:, None])
         rjmcmc._step(chain, attempts, accepts)
-        omega = chain.state[0]
+        omega = chain.state[0][:, 0]
         w = omega / math.pi
         draws[i] = (w.size, w.size == 0, w.sum(), w @ w, math.log(chain.delta2), chain.rate)
 

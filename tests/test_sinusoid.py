@@ -291,8 +291,8 @@ class _Scripted:
 
 def test_birth_then_death_restores_state_exactly():
     sig = generate_synthetic_signal(1, [0.9], [4.0], [0.3], 7.0, 16, seed=5)
-    omega = np.array([0.4, 1.1, 2.9])
-    chain = _SinChain(sig, SinChainConfig(init_omega=tuple(omega), sample_delta2=False,
+    omega = np.array([[0.4], [1.1], [2.9]])
+    chain = _SinChain(sig, SinChainConfig(init_omega=tuple(omega[:, 0]), sample_delta2=False,
                                           sample_rate=False))
     start = chain.state
     attempts = dict.fromkeys(("birth", "death", "update", "rate"), 0)
@@ -303,7 +303,7 @@ def test_birth_then_death_restores_state_exactly():
     for u, pos in ((0.75 / math.pi, 1), (0.1 / math.pi, 0), (3.0 / math.pi, 3)):
         chain.rng, chain.state = _Scripted(0.1, u, 1e-300), start
         rjmcmc._step(chain, attempts, accepts)
-        assert chain.state[0].tolist() == [*omega[:pos], u * math.pi, *omega[pos:]]
+        assert chain.state[0][:, 0].tolist() == [*omega[:pos, 0], u * math.pi, *omega[pos:, 0]]
         chain.rng = _Scripted(0.3, pos, 1e-300)
         rjmcmc._step(chain, attempts, accepts)
         assert np.array_equal(chain.state[0], omega)
