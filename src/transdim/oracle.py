@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -25,6 +26,7 @@ __all__ = [
     "exact_allocation_log_posterior",
     "unlabeled_log_density",
     "gate_count_law",
+    "truncated_poisson_log_normaliser",
     "quadrature_log_marginal",
     "pulse_bin_quadrature",
 ]
@@ -102,6 +104,18 @@ def gate_count_law(pis) -> np.ndarray:
     for gates in itertools.product((0, 1), repeat=pis.size):
         law[sum(gates)] += np.prod(np.where(gates, pis, 1.0 - pis))
     return law
+
+
+def truncated_poisson_log_normaliser(rate: float, k_max: int) -> float:
+    """log sum_{j<=k_max} rate^j / j!, the sum taken exactly in rationals at
+    the float rate and rounded once: through log1p below 2, else after a
+    power of two has scaled it to within a factor 2 of 1."""
+    r = Fraction(rate)
+    total = sum(r**j / math.factorial(j) for j in range(k_max + 1))
+    if total < 2:
+        return math.log1p(total - 1)
+    e = total.numerator.bit_length() - total.denominator.bit_length()
+    return math.log(total / 2**e) + e * math.log(2.0)
 
 
 def quadrature_log_marginal(y, omega: float, delta2: float) -> float:

@@ -152,25 +152,38 @@ def _data_term(k: int, N: int, yty: float, quad: float, delta2: float) -> float:
     return -k * math.log1p(delta2) - 0.5 * N * math.log(ypy)
 
 
-def _data_part(omega: np.ndarray, y: np.ndarray, delta2: float):
-    """(:func:`_data_term`, u) for sorted omega: u = R^-T D'y, R the upper
-    Cholesky factor of D'D (LAPACK called directly, as cho_factor does), so
-    y'D (D'D)^-1 D'y = u'u.  u does not depend on delta2, so the chain keeps
-    it with the state for the delta2 refresh.  It is empty for k = 0, and the
-    result is (-inf, None) for a frequency outside (0, pi) or a numerically
-    singular D'D (coincident frequencies).
-    """
+def _rows(omega, N: int) -> np.ndarray:
+    """(k, 1 + 2N) chain rows: each frequency, then cos(omega t) and sin(omega
+    t) for t = 0..N-1, its two columns of :func:`design_matrix` bit for bit."""
+    rows = np.empty((len(omega), 1 + 2 * N))
+    rows[:, 0] = omega
+    phase = np.multiply.outer(omega, np.arange(N))
+    np.cos(phase, out=rows[:, 1:N + 1])
+    np.sin(phase, out=rows[:, N + 1:])
+    return rows
+
+
+def _data_part(rows: np.ndarray, y: np.ndarray, delta2: float):
+    """(:func:`_data_term`, u) for the :func:`_rows` of sorted frequencies:
+    u = R^-T D'y, R the upper Cholesky factor of D'D (LAPACK called directly,
+    as cho_factor does), so y'D (D'D)^-1 D'y = u'u.  u does not depend on
+    delta2, so the chain keeps it with the state for the delta2 refresh.  It
+    is empty for k = 0, and the result is (-inf, None) for a frequency outside
+    (0, pi) or a numerically singular D'D (coincident frequencies)."""
     N = y.size
     yty = float(y @ y)
-    k = omega.size
+    k = len(rows)
     if k == 0:
         return _data_term(0, N, yty, 0.0, delta2), np.empty(0)
-    if omega[0] <= 0.0 or omega[-1] >= math.pi:
+    if rows[0, 0] <= 0.0 or rows[-1, 0] >= math.pi:
         return -np.inf, None
-    D = design_matrix(omega, N)
+    # one copy into design_matrix's C-ordered (N, 2k) layout keeps D'D and D'y
+    # bit for bit: the (2k, N) gather times its own transpose moved a golden
+    # mean_delta2 at the 11th digit, and the view left at k = 1 moved D'y
+    D = rows[:, 1:].reshape(k, 2, N).transpose(2, 0, 1).copy().reshape(N, 2 * k)
     R, info = lapack.dpotrf(D.T @ D, clean=0)
     if info > 0:
-        logger.debug("singular design for omega=%s", omega)
+        logger.debug("singular design for omega=%s", rows[:, 0])
         return -np.inf, None
     u = lapack.dtrtrs(R, D.T @ y, trans=1)[0]
     return _data_term(k, N, yty, float(u @ u), delta2), u
@@ -178,11 +191,16 @@ def _data_part(omega: np.ndarray, y: np.ndarray, delta2: float):
 
 def _log_trunc_series(rate: float, k_max: int) -> float:
     """log sum_{j<=k_max} rate^j / j! (the truncated Poisson normalizer,
-    exponential damping cancelled)."""
-    j = np.arange(k_max + 1)
-    terms = j * math.log(rate) - gammaln(j + 1)
-    m = terms.max()
-    return float(m + math.log(np.exp(terms - m).sum()))
+    exponential damping cancelled), summed in Python floats outward from the
+    largest term j* = min(k_max, floor(rate)) relative to it: no term exceeds
+    1, so the result is finite at every finite rate > 0."""
+    top = min(k_max, int(rate))
+    rest, down, up = 0.0, 1.0, 1.0
+    for j in range(top, 0, -1):
+        rest += (down := down * j / rate)
+    for j in range(top + 1, k_max + 1):
+        rest += (up := up * rate / j)
+    return top * math.log(rate) - math.lgamma(top + 1) + math.log1p(rest)
 
 
 def log_target_marginal(
@@ -198,9 +216,10 @@ def log_target_marginal(
     if omega.size != k:
         raise ModelError(f"k={k} but {omega.size} frequencies given")
     y = np.asarray(y, dtype=float).reshape(-1)
-    if k > k_max:
+    # a frequency outside (0, pi) scores -inf before the trig, which would warn at inf
+    if k > k_max or (k and (omega[0] <= 0.0 or omega[-1] >= math.pi)):
         return -np.inf
-    data, _ = _data_part(omega, y, delta2)
+    data, _ = _data_part(_rows(omega, y.size), y, delta2)
     # the Poisson(rate) k prior truncated to {0..k_max}, and the uniform frequency prior pi^-k
     return data + (k * math.log(rate) - float(gammaln(k + 1)) - _log_trunc_series(rate, k_max)
                    - k * math.log(math.pi))
@@ -214,7 +233,9 @@ def log_marginal_likelihood(omega, y, delta2: float) -> float:
     omega = np.sort(np.asarray(omega, dtype=float).reshape(-1))
     y = np.asarray(y, dtype=float).reshape(-1)
     N = y.size
-    data, _ = _data_part(omega, y, delta2)
+    if omega.size and (omega[0] <= 0.0 or omega[-1] >= math.pi):
+        return -np.inf  # as in log_target_marginal
+    data, _ = _data_part(_rows(omega, N), y, delta2)
     return data + float(gammaln(0.5 * N)) - 0.5 * N * math.log(math.pi)
 
 
@@ -261,8 +282,8 @@ def generate_synthetic_signal(
 
 
 class _SinChain(rjmcmc.Chain):
-    """State (omega as (k, 1) rows, data part, u of :func:`_data_part`);
-    delta2 and the rate beside it."""
+    """State (the :func:`_rows` of the frequencies, data part, u of
+    :func:`_data_part`); delta2 and the rate beside it."""
 
     sampler = "sinusoid-rjmcmc"
     extra_moves = ("rate",)
@@ -272,38 +293,39 @@ class _SinChain(rjmcmc.Chain):
         if self.yty <= 0.0:
             raise ModelError("signal is identically zero")
         super().__init__(config, sin_param_space())
-        omega = np.sort(np.asarray(config.init_omega, dtype=float)).reshape(-1, 1)
+        rows = _rows(np.sort(np.asarray(config.init_omega, dtype=float)), self.y.size)
         self.delta2, self.rate = config.delta2_init, config.rate_init
-        self.state = (omega, *_data_part(omega[:, 0], self.y, self.delta2))
+        self.state = (rows, *_data_part(rows, self.y, self.delta2))
         self.log_norm = _log_trunc_series(self.rate, config.k_max)  # at self.rate
         self.singular = self.records = 0
         self.delta2_sum = self.rate_sum = 0.0
 
-    def score(self, omega: np.ndarray):
-        """(omega, ``_data_part`` at the current delta2), counting zero-density proposals."""
-        data, u = _data_part(omega[:, 0], self.y, self.delta2)
+    def score(self, rows: np.ndarray):
+        """(rows, ``_data_part`` at the current delta2), counting zero-density proposals."""
+        data, u = _data_part(rows, self.y, self.delta2)
         if not np.isfinite(data):
             self.singular += 1
-        return omega, data, u
+        return rows, data, u
 
     def new_row(self):
-        return [self.rng.random() * math.pi]  # uniform on (0, pi), the frequency prior
+        return _rows([self.rng.random() * math.pi], self.y.size)[0]  # uniform on (0, pi), the prior
 
     def sweep(self):
         # symmetric reflected random walk, one normal per step; positions
         # stay fixed within the sweep and the engine resorts the state after
         for j in range(len(self.state[0])):
-            omega, data, _ = self.state
-            prop = omega.copy()
+            rows, data, _ = self.state
+            prop = rows.copy()
             step = self.config.rw_step * self.rng.standard_normal()
-            prop[j, 0] = rjmcmc.reflect(omega[j, 0] + step, 0.0, math.pi)
-            _, data_p, u_p = self.score(np.sort(prop, axis=0))
+            prop[j] = _rows([rjmcmc.reflect(rows[j, 0] + step, 0.0, math.pi)], self.y.size)[0]
+            # np.sort would sort each column on its own
+            _, data_p, u_p = self.score(prop.take(prop[:, 0].argsort(), axis=0))
             yield data_p - data, (prop, data_p, u_p)
 
     def refresh(self, attempts, accepts):
         cfg, rng, yty, N = self.config, self.rng, self.yty, self.y.size
-        omega, data, u = self.state
-        k = omega.size
+        rows, data, u = self.state
+        k = len(rows)
         if cfg.sample_delta2:
             # refresh delta2 through its exact conditional given auxiliary
             # draws of (sigma2, amplitudes a), then discard the auxiliaries;
@@ -319,7 +341,7 @@ class _SinChain(rjmcmc.Chain):
             if data == -np.inf:
                 raise ModelError(f"the {k} frequencies fit the signal exactly at delta2 = "
                                  f"{self.delta2:.3g}: the noise variance has no proper posterior")
-            self.state = (omega, data, u)
+            self.state = (rows, data, u)
         if cfg.sample_rate:
             # conjugate-form proposal; the truncation of p(k | rate) at k_max
             # leaves a ratio of masses log P(Poisson(.) <= k_max) to correct for
@@ -336,7 +358,7 @@ class _SinChain(rjmcmc.Chain):
         self.delta2_sum += self.delta2
         self.rate_sum += self.rate
         self.records += 1
-        return self.state[0].copy()
+        return self.state[0][:, :1].copy()
 
     def extras(self):
         n = self.records

@@ -69,6 +69,13 @@ def test_missing_required_seed_is_usage_error(tmp_path):
     assert cli.main(["simulate-sin", "--out", str(tmp_path / "x")]) == 1
 
 
+def test_usage_error_names_the_problem(capsys):
+    assert cli.main(["oracle", "--check", "bogus"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: transdim oracle")
+    assert "transdim oracle: error: argument --check: invalid choice: 'bogus'" in err
+
+
 @pytest.mark.parametrize(
     "command", ["simulate-sin", "simulate-auger", "fit", "report", "montecarlo", "oracle"]
 )

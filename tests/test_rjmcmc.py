@@ -141,7 +141,7 @@ def _update_only_chain(sampler, k):
 @pytest.mark.parametrize("sampler", ["sinusoid", "muons"])
 def test_an_update_at_k_zero_draws_only_the_move(sampler):
     chain = _update_only_chain(sampler, 0)
-    assert chain.state[0].shape == (0, {"sinusoid": 1, "muons": 32}[sampler])
+    assert chain.state[0].shape == (0, {"sinusoid": 129, "muons": 32}[sampler])
     twin = np.random.default_rng(6)
     twin.random()
     attempts = dict.fromkeys(("birth", "death", "update") + chain.extra_moves, 0)
@@ -191,14 +191,17 @@ class _CheckedAuger(muons._AugerChain):
 
 
 class _CheckedSin(sinusoid._SinChain):
-    """Checks the cached prior normaliser and data part after every iteration."""
+    """Checks the cached prior normaliser, the rows' design columns and the
+    data part after every iteration, all bit for bit."""
 
     def refresh(self, attempts, accepts):
         super().refresh(attempts, accepts)
-        (omega, data, u), k_max = self.state, self.config.k_max
-        self.ks.add(omega.size)
+        (rows, data, u), k_max = self.state, self.config.k_max
+        self.ks.add(len(rows))
         assert self.log_norm == sinusoid._log_trunc_series(self.rate, k_max)
-        fresh, fresh_u = sinusoid._data_part(omega[:, 0], self.y, self.delta2)
+        fresh_rows = sinusoid._rows(rows[:, 0], self.y.size)
+        assert np.array_equal(rows, fresh_rows)
+        fresh, fresh_u = sinusoid._data_part(fresh_rows, self.y, self.delta2)
         assert data == fresh
         assert np.array_equal(u, fresh_u)
 
@@ -345,7 +348,7 @@ def test_sinusoid_sampler_keeps_the_prior_under_successive_conditional_draws():
                                                       rng.standard_normal(2 * omega.size))
         chain.y = D @ a + rng.standard_normal(N)
         chain.yty = float(chain.y @ chain.y)
-        chain.state = chain.score(omega[:, None])
+        chain.state = chain.score(sinusoid._rows(omega, N))
         rjmcmc._step(chain, attempts, accepts)
         omega = chain.state[0][:, 0]
         w = omega / math.pi

@@ -8,21 +8,25 @@ target for chain-level distribution checks.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import lapack
 from scipy.special import gammaln, logsumexp
 
 from transdim import rjmcmc
 from transdim.model import ModelError
-from transdim.oracle import quadrature_log_marginal
+from transdim.oracle import quadrature_log_marginal, truncated_poisson_log_normaliser
 from transdim.sinusoid import (
     SinChainConfig,
     SinusoidSignal,
     _batched_design,
     _SinChain,
     _data_part,
+    _log_trunc_series,
+    _rows,
     design_matrix,
     generate_synthetic_signal,
     log_marginal_likelihood,
@@ -129,6 +133,15 @@ def test_target_singular_design_is_minus_inf():
     assert log_target_marginal(1, [math.pi], y, 5.0, 1.0) == -np.inf
 
 
+@pytest.mark.parametrize("omega", [[math.inf], [-math.inf], [0.5, math.inf]])
+def test_infinite_frequency_is_minus_inf_without_a_floating_point_warning(omega):
+    y = np.random.default_rng(3).standard_normal(16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_target_marginal(len(omega), omega, y, 5.0, 1.0) == -np.inf
+        assert log_marginal_likelihood(omega, y, 5.0) == -np.inf
+
+
 def test_target_beyond_k_max_is_minus_inf():
     rng = np.random.default_rng(4)
     y = rng.standard_normal(16)
@@ -166,7 +179,7 @@ def test_singular_design_is_minus_inf_and_has_no_amplitude_mean(omega):
     # coincident frequencies repeat a column; a frequency at 0 gives an
     # all-zero sine column, one at pi a sine column of rounding size
     y = np.random.default_rng(3).standard_normal(16)
-    data, fac = _data_part(np.array(omega), y, 5.0)
+    data, fac = _data_part(_rows(omega, 16), y, 5.0)
     assert data == -np.inf
     assert fac is None
     assert log_marginal_likelihood(omega, y, 5.0) == -np.inf
@@ -192,7 +205,7 @@ def test_design_factor_matches_dense_solves(omega):
     G, Dty = D.T @ D, D.T @ y
     ahat = np.linalg.solve(G, Dty)  # the least-squares amplitudes
     R = np.linalg.cholesky(G).T
-    u = _data_part(omega, y, 5.0)[1]
+    u = _data_part(_rows(omega, 64), y, 5.0)[1]
     # u'u is the data term's quadratic form, and u solves R'u = D'y
     assert u @ u == pytest.approx(float(Dty @ ahat), rel=1e-12)
     np.testing.assert_allclose(R.T @ u, Dty, rtol=1e-12, atol=1e-12 * np.abs(Dty).max())
@@ -203,6 +216,60 @@ def test_design_factor_matches_dense_solves(omega):
     Da = D @ (shrink * ahat + c * np.linalg.solve(R, z))
     Ra = shrink * u + c * z
     assert Ra @ Ra == pytest.approx(float(Da @ Da), rel=1e-10)
+
+
+@pytest.mark.parametrize("N", [64, 1000])
+@pytest.mark.parametrize("k", [1, 3])
+def test_data_part_on_rows_makes_the_design_matrix_calls_bit_for_bit(N, k):
+    # a D that is not C-ordered sends D'y down another BLAS path: at k = 1 and
+    # N = 1000 that moved u in the last bits
+    rng = np.random.default_rng(N + k)
+    omega, y = np.sort(rng.uniform(0.1, 3.0, k)), rng.standard_normal(N)
+    D = design_matrix(omega, N)
+    R = lapack.dpotrf(D.T @ D, clean=0)[0]
+    u = lapack.dtrtrs(R, D.T @ y, trans=1)[0]
+    assert np.array_equal(_data_part(_rows(omega, N), y, 5.0)[1], u)
+
+
+@pytest.mark.parametrize("N", [2, 64, 1000])
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_rows_carry_the_design_columns_bit_for_bit(N, k):
+    omega = np.sort(np.random.default_rng(10 * N + k).uniform(0.0, math.pi, k))
+    rows = _rows(omega, N)
+    assert rows.shape == (k, 1 + 2 * N)
+    assert np.array_equal(rows[:, 0], omega)
+    assert np.array_equal(rows[:, 1:], design_matrix(omega, N).T.reshape(k, 2 * N))
+
+
+# ---------------------------------------------------------------------------
+# the truncated Poisson normaliser of the k prior
+# ---------------------------------------------------------------------------
+
+NORMALISER_TOL = 4e-15  # times max(1, |exact|), fixed before the first run
+
+
+def test_normaliser_matches_the_exact_rational_sum():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        rate, k_max = float(10.0 ** rng.uniform(-3.0, 3.0)), int(rng.integers(1, 40))
+        ref = truncated_poisson_log_normaliser(rate, k_max)
+        got = _log_trunc_series(rate, k_max)
+        assert abs(got - ref) <= NORMALISER_TOL * max(1.0, abs(ref)), (rate, k_max)
+
+
+@pytest.mark.parametrize("rate, k_max", [(745.0, 1), (1000.0, 20), (1e8, 20)])
+def test_normaliser_is_finite_far_above_k_max(rate, k_max):
+    # the form rate + log(gammaincc(k_max + 1, rate)) underflows to -inf here
+    ref = truncated_poisson_log_normaliser(rate, k_max)
+    got = _log_trunc_series(rate, k_max)
+    assert math.isfinite(got)
+    assert abs(got - ref) <= NORMALISER_TOL * max(1.0, abs(ref))
+
+
+def test_chain_starts_with_a_finite_normaliser_far_above_k_max():
+    sig = generate_synthetic_signal(1, [0.9], [4.0], [0.3], 7.0, 16, seed=5)
+    chain = _SinChain(sig, SinChainConfig(rate_init=745.0, k_max=1))
+    assert math.isfinite(chain.log_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +373,7 @@ def test_birth_then_death_restores_state_exactly():
         assert chain.state[0][:, 0].tolist() == [*omega[:pos, 0], u * math.pi, *omega[pos:, 0]]
         chain.rng = _Scripted(0.3, pos, 1e-300)
         rjmcmc._step(chain, attempts, accepts)
-        assert np.array_equal(chain.state[0], omega)
+        assert np.array_equal(chain.state[0], _rows(omega[:, 0], 16))
         assert chain.state[1] == start[1]
     assert accepts["birth"] == accepts["death"] == 3
 
