@@ -369,11 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     _config_option(p, "--window", "averaging_window", type=int)
     _config_option(p, "--inner-steps", "imh_inner_steps", type=int)
     _config_option(p, "--prune-threshold", "prune_threshold", type=int)
-    _config_option(p, "--init-pi", "init_pi", type=float)
-    _config_option(p, "--init-lambda", "init_lambda", type=float)
     _config_option(p, "--init-rule", "init_rule", choices=("percentile", "threshold", "fixed"))
-    _config_option(p, "--percentile", "percentile_for_L", type=float)
-    _config_option(p, "--threshold", "threshold_for_L", type=float)
     _config_option(p, "--fixed-l", "fixed_L", type=int)
     p.set_defaults(func=_cmd_fit)
 

@@ -49,6 +49,9 @@ logger = logging.getLogger(__name__)
 
 IQR_TO_SIGMA = 1.349  # Gaussian consistency factor for the interquartile range
 SIGMA2_FLOOR = 1e-10  # least variance a robust moment estimate returns
+# starting values: the initial gates' pi and clutter rate, and the levels of the rules for L
+INIT_PI, INIT_LAMBDA = 0.9, 0.1
+PERCENTILE_FOR_L, THRESHOLD_FOR_L = 0.9, 0.05
 
 
 @dataclass
@@ -57,21 +60,18 @@ class FitConfig:
 
     ``init_rule`` selects how the component count L is chosen from the
     empirical distribution of k: ``"percentile"`` takes the smallest k whose
-    CDF reaches ``percentile_for_L``, ``"threshold"`` the largest k whose
-    probability is at least ``threshold_for_L``, and ``"fixed"`` uses
+    CDF reaches ``PERCENTILE_FOR_L``, ``"threshold"`` the largest k whose
+    probability is at least ``THRESHOLD_FOR_L``, and ``"fixed"`` uses
     ``fixed_L`` (lowered to the largest k observed when no sample reaches it).
+    The starting model's gates have pi = ``INIT_PI``, its clutter ``INIT_LAMBDA``.
     """
 
     iterations: int = 100
     imh_inner_steps: int = 1
     averaging_window: int = 50
     prune_threshold: int = 10
-    init_pi: float = 0.9
-    init_lambda: float = 0.1
-    percentile_for_L: float = 0.9
     rng_seed: int = 0
     init_rule: str = "percentile"
-    threshold_for_L: float = 0.05
     fixed_L: int | None = None
 
     def __post_init__(self):
@@ -82,17 +82,9 @@ class FitConfig:
             raise ModelError("averaging_window must not exceed iterations")
         if self.fixed_L is not None:
             _check_int("fixed_L", self.fixed_L, 0)
-        # every comparison below is False for NaN, so NaN fails each check
-        for name, ok, need in (
-            ("prune_threshold", lambda v: v >= 0.0, ">= 0"),
-            ("init_pi", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-            ("threshold_for_L", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-            ("percentile_for_L", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-            ("init_lambda", lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-        ):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and ok(value)):
-                raise ModelError(f"{name} must be a real {need}, got {value!r}")
+        # the comparison is False for NaN, so NaN fails the check
+        if not (isinstance(self.prune_threshold, numbers.Real) and self.prune_threshold >= 0.0):
+            raise ModelError(f"prune_threshold must be a real >= 0, got {self.prune_threshold!r}")
         if self.init_rule not in ("percentile", "threshold", "fixed"):
             raise ModelError(f"unknown init_rule {self.init_rule!r}")
         if self.init_rule == "fixed" and self.fixed_L is None:
@@ -140,7 +132,9 @@ class FitResult:
 
 
 def choose_component_count(k_values: np.ndarray, config: FitConfig) -> int:
-    """Pick the number of Gaussian components from the empirical law of k."""
+    """Pick the number of Gaussian components from the empirical law of k by
+    ``config.init_rule`` (see :class:`FitConfig`); the threshold rule falls
+    back to the mode when no p(k) reaches ``THRESHOLD_FOR_L``."""
     ks = np.asarray(k_values, dtype=np.int64)
     if ks.size == 0:
         raise ModelError("no samples")
@@ -149,8 +143,8 @@ def choose_component_count(k_values: np.ndarray, config: FitConfig) -> int:
     pk = np.bincount(ks) / ks.size
     if config.init_rule == "percentile":
         cdf = np.cumsum(pk)
-        return int(np.argmax(cdf >= config.percentile_for_L - 1e-12))
-    hits = np.flatnonzero(pk >= config.threshold_for_L)
+        return int(np.argmax(cdf >= PERCENTILE_FOR_L - 1e-12))
+    hits = np.flatnonzero(pk >= THRESHOLD_FOR_L)
     if hits.size == 0:
         return int(np.argmax(pk))
     return int(hits[-1])
@@ -162,6 +156,15 @@ def _robust_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = np.median(x, axis=0)
     q25, q75 = np.percentile(x, [25.0, 75.0], axis=0)
     return mu, np.maximum(((q75 - q25) / IQR_TO_SIGMA) ** 2, SIGMA2_FLOOR)
+
+
+def _lift_variances(sigma2, low, points, L):
+    """The variances flagged by ``low`` lifted to at least the robust variance
+    of all points over L^2, so that neither one record nor a repeated state
+    can collapse them; the all-points moments are computed only when needed."""
+    if low.any():
+        sigma2 = np.where(low, np.maximum(sigma2, _robust_moments(points)[1] / L**2), sigma2)
+    return sigma2
 
 
 def initialize_model(samples: SampleSet, config: FitConfig) -> ApproxModel:
@@ -185,7 +188,7 @@ def initialize_model(samples: SampleSet, config: FitConfig) -> ApproxModel:
                        L, ks.max())
         L = int(ks.max())
     if L == 0:
-        return ApproxModel(space, [], config.init_lambda)
+        return ApproxModel(space, [], INIT_LAMBDA)
     pool = [block for k, _, block in samples.by_k() if k >= L]
     if pool[0].shape[1] > L:
         logger.warning("no samples with k = %d; initializing from %d samples with k >= %d",
@@ -197,14 +200,11 @@ def initialize_model(samples: SampleSet, config: FitConfig) -> ApproxModel:
         for block in pool
     ])  # (n, L, d), each sample's first L components by first coordinate
     mu, sigma2 = _robust_moments(stacked)
+    # too few records to spread each rank, or records that repeat one value
     low = (len(stacked) < config.prune_threshold) | (sigma2 == SIGMA2_FLOOR)
-    if low.any():
-        # too few records to spread each rank, or records that repeat one
-        # value: floor those variances at the spread of all points over L,
-        # so that neither one record nor a repeated state can collapse them
-        sigma2 = np.where(low, np.maximum(sigma2, _robust_moments(samples.points)[1] / L**2), sigma2)
-    comps = [GaussianComponent(mu[l], sigma2[l], config.init_pi) for l in range(L)]
-    return ApproxModel(space, comps, config.init_lambda)
+    sigma2 = _lift_variances(sigma2, low, samples.points, L)
+    comps = [GaussianComponent(mu[l], sigma2[l], INIT_PI) for l in range(L)]
+    return ApproxModel(space, comps, INIT_LAMBDA)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +398,7 @@ def _mstep_core(pts, lab, M, L, space, previous):
         sel = pts[lab == l]
         if sel.shape[0]:
             mu, sigma2 = _robust_moments(sel)
+            sigma2 = _lift_variances(sigma2, sigma2 == SIGMA2_FLOOR, pts, L)
         else:
             mu = previous.components[l].mu.copy()
             sigma2 = previous.components[l].sigma2.copy()
@@ -416,8 +417,9 @@ def mstep_robust(
     pi_l is the fraction of samples containing component l; lam the mean
     outlier count; mu_l the per-coordinate median of allocated points and
     sigma_l their interquartile range over 1.349 (linearly interpolated
-    quartiles).  A component with no allocated points keeps its previous
-    (mu, sigma) and gets pi_l = 0.
+    quartiles), lifted as in :func:`initialize_model` when at ``SIGMA2_FLOOR``.
+    A component with no allocated points keeps its previous (mu, sigma) and
+    gets pi_l = 0.
     """
     M = len(samples)
     if M == 0 or M != len(allocations):

@@ -6,7 +6,9 @@ check that a command ends, which run in a subprocess under a timeout.
 Chains here are short; the point is wiring, not inference quality.
 """
 
+import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,7 +24,13 @@ import transdim
 from transdim import cli, diagnostics, montecarlo
 from transdim.fit import FitConfig, sem_fit
 from transdim.model import ApproxModel, GaussianComponent, ModelError, ParamSpace, SampleSet
-from transdim.muons import AugerChainConfig, rjmcmc_run_auger, simulate_pe_signal
+from transdim.muons import (
+    AugerChainConfig,
+    PECountSignal,
+    PulseShape,
+    rjmcmc_run_auger,
+    simulate_pe_signal,
+)
 from transdim.sinusoid import SinChainConfig, generate_synthetic_signal, rjmcmc_run
 from transdim.storage import read_model, read_samples, spawn_seeds, write_model, write_samples
 
@@ -74,6 +82,37 @@ def test_usage_error_names_the_problem(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: transdim oracle")
     assert "transdim oracle: error: argument --check: invalid choice: 'bogus'" in err
+
+
+@pytest.mark.parametrize("flag", ["--init-pi", "--init-lambda", "--percentile", "--threshold"])
+def test_fit_starting_values_are_not_options(tmp_path, capsys, flag):
+    # the starting values are constants of transdim.fit
+    argv = ["fit", "--samples", str(tmp_path / "x"), "--seed", "2", "--out", str(tmp_path / "m.json")]
+    assert cli.main(argv + [flag, "0.5"]) == 1
+    assert f"transdim: error: unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+
+
+# the config classes whose fields each subcommand takes through cli._given
+_GIVEN_CLASSES = {
+    "simulate-sin": (SinChainConfig,),
+    "simulate-auger": (PulseShape, PECountSignal, AugerChainConfig),
+    "fit": (FitConfig,),
+    "montecarlo": (montecarlo.MonteCarloConfig, SinChainConfig),
+}
+
+
+def test_every_config_option_sets_a_field_its_command_reads():
+    # _given skips an option whose field is gone, so a stale flag would be
+    # accepted and set nothing
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    checked = set()
+    for command, parser in sub.choices.items():
+        fields = {f.name for cls in _GIVEN_CLASSES.get(command, ()) for f in dataclasses.fields(cls)}
+        for action in parser._actions:
+            if action.default is argparse.SUPPRESS and not isinstance(action, argparse._HelpAction):
+                assert action.dest in fields, (command, action.option_strings)
+                checked.add(command)
+    assert checked == set(_GIVEN_CLASSES)
 
 
 @pytest.mark.parametrize(
@@ -299,7 +338,7 @@ def test_fit_fixed_l_rule(sin_run, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--init-rule", "fixed", "--fixed-l", "-1"], ["--threshold", "5"]]
+    "flags", [["--init-rule", "fixed", "--fixed-l", "-1"], ["--window", "0"]]
 )
 def test_fit_bad_settings_are_data_errors(sin_run, tmp_path, flags):
     rc = cli.main(
@@ -666,6 +705,7 @@ def test_montecarlo_config_rejects_counts_below_one(field):
         ({"signal": {"omega": [0.63, 0.68, math.nan]}}, []),
         ({"signal": {"energies": [20.0, math.inf, 20.0]}}, []),
         ({"signal": {"phases": [0.0, math.nan, 0.0]}}, []),
+        ({"fit": {"threshold_for_L": 0.1}}, []),  # a module constant, not a setting
     ],
 )
 def test_montecarlo_cli_bad_settings_are_data_errors(tmp_path, config, flags):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from transdim import fit
 from transdim.fit import (
     SIGMA2_FLOOR,
     FitConfig,
@@ -66,16 +67,15 @@ def as_sampleset(space, arrays, **prov):
 def test_component_count_percentile_rule():
     # 1000 samples with p(k=1)=0.3, p(2)=0.4, p(3)=0.203, p(4)=0.097
     ks = np.repeat([1, 2, 3, 4], [300, 400, 203, 97])
-    cfg = FitConfig(percentile_for_L=0.9)
-    assert choose_component_count(ks, cfg) == 3
+    assert choose_component_count(ks, FitConfig()) == 3  # PERCENTILE_FOR_L is 0.9
 
 
-def test_component_count_threshold_rule():
+def test_component_count_threshold_rule(monkeypatch):
     ks = np.repeat([1, 2, 3, 4, 6], [300, 400, 203, 60, 37])
-    cfg = FitConfig(init_rule="threshold", threshold_for_L=0.05)
+    cfg = FitConfig(init_rule="threshold")  # THRESHOLD_FOR_L is 0.05
     assert choose_component_count(ks, cfg) == 4
-    cfg2 = FitConfig(init_rule="threshold", threshold_for_L=0.25)
-    assert choose_component_count(ks, cfg2) == 2
+    monkeypatch.setattr(fit, "THRESHOLD_FOR_L", 0.25)
+    assert choose_component_count(ks, cfg) == 2
 
 
 def test_component_count_fixed_rule():
@@ -158,15 +158,19 @@ def test_fixed_L_from_a_single_record_keeps_its_components():
         assert np.min(np.abs(fitted - [t, a]).max(axis=1)) < 5.0
 
 
-def test_a_repeated_state_does_not_seed_a_zero_variance():
-    # 40 records of two muons whose arrivals move while 30 of them repeat one
-    # pair of amplitudes, as a chain that rejects its amplitude steps does: the
-    # pool is not thin, but its amplitude IQR is zero
+def _repeated_amplitude_records():
+    """40 records of two muons whose arrivals move while 30 of them repeat one
+    pair of amplitudes, as a chain that rejects its amplitude steps does: the
+    records are not few, but their amplitude IQR is zero."""
     space = ParamSpace(np.array([[0.0, 1000.0], [0.0, 500.0]]))
     rng = np.random.default_rng(4)
     arrivals = np.array([200.0, 600.0]) + rng.normal(0.0, 3.0, (40, 2))
     amps = np.where(np.arange(40)[:, None] < 30, [60.0, 50.0], rng.uniform(40.0, 80.0, (40, 2)))
-    ss = SampleSet.ingest(space, list(np.stack([arrivals, amps], axis=-1)))
+    return arrivals, SampleSet.ingest(space, list(np.stack([arrivals, amps], axis=-1)))
+
+
+def test_a_repeated_state_does_not_seed_a_zero_variance():
+    arrivals, ss = _repeated_amplitude_records()
     sigma2 = initialize_model(ss, FitConfig(init_rule="fixed", fixed_L=2)).sigma2s()
     # the amplitudes take the all-points floor; the arrivals keep their own spread
     assert sigma2[:, 1].tolist() == [_robust_moments(ss.points)[1][1] / 4] * 2
@@ -554,6 +558,16 @@ def test_mstep_keeps_previous_parameters_for_empty_component():
     assert model.lam == 0.0
 
 
+def test_mstep_lifts_a_floored_variance_to_the_all_points_floor():
+    # each amplitude IQR of the allocated points is zero, and the M-step lifts
+    # it as initialize_model does
+    _, ss = _repeated_amplitude_records()
+    result = sem_fit(ss, FitConfig(init_rule="fixed", fixed_L=2, iterations=5, averaging_window=2))
+    assert len(result.trace.models) == 5
+    for model in result.trace.models:
+        assert model.sigma2s()[:, 1].tolist() == [_robust_moments(ss.points)[1][1] / 4] * 2
+
+
 def test_mstep_applies_variance_floor():
     space = ParamSpace(np.array([[0.0, 1.0]]))
     ss = as_sampleset(space, [np.array([[0.5]])] * 4)
@@ -584,12 +598,13 @@ def test_sem_fit_criterion_negates_joint_density():
     assert result.trace.criteria[0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_criterion_signals_zero_density_as_infinity():
+def test_criterion_signals_zero_density_as_infinity(monkeypatch):
     # an initial gate with pi = 1 gives every empty sample zero density
+    monkeypatch.setattr(fit, "INIT_PI", 1.0)
     space = ParamSpace(np.array([[0.0, 1.0]]))
     ss = as_sampleset(space, [np.zeros((0, 1))] * 5 + [np.array([[0.5]])] * 5)
     cfg = FitConfig(iterations=1, averaging_window=1, prune_threshold=0,
-                    init_rule="fixed", fixed_L=1, init_pi=1.0)
+                    init_rule="fixed", fixed_L=1)
     assert sem_fit(ss, cfg).trace.criteria[0] == math.inf
 
 
@@ -717,8 +732,10 @@ def test_fit_config_validation():
     with pytest.raises(ModelError):
         FitConfig(prune_threshold=-1)
     with pytest.raises(ModelError):
+        FitConfig(prune_threshold="10")
+    with pytest.raises(ModelError):
         FitConfig(init_rule="nope")
-    FitConfig(prune_threshold=2.5, init_pi=1.0, threshold_for_L=0.0, init_lambda=0.0)
+    FitConfig(prune_threshold=2.5)
 
 
 @pytest.mark.parametrize(
@@ -730,13 +747,6 @@ def test_fit_config_validation():
         {"init_rule": "fixed", "fixed_L": -1},
         {"init_rule": "fixed", "fixed_L": 2.5},
         {"prune_threshold": math.nan},
-        {"init_pi": 1.5},
-        {"init_pi": math.nan},
-        {"threshold_for_L": 5.0},
-        {"threshold_for_L": -0.1},
-        {"init_lambda": -1.0},
-        {"init_lambda": math.inf},
-        {"init_lambda": math.nan},
     ],
 )
 def test_fit_config_rejects_settings_that_crash_or_mean_nothing(settings):

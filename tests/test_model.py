@@ -666,9 +666,12 @@ def test_integer_settings_reject_booleans(make, name, value):
     (SinChainConfig, "alpha_delta"), (SinChainConfig, "beta_delta"),
     (SinChainConfig, "alpha_rate"), (SinChainConfig, "beta_rate"),
     (FitConfig, "sigma2_floor"), (MonteCarloConfig, "intervals"),
+    (FitConfig, "init_pi"), (FitConfig, "init_lambda"),
+    (FitConfig, "percentile_for_L"), (FitConfig, "threshold_for_L"),
 ])
 def test_settings_that_are_constants_cannot_be_set(cls, name):
     # the update move takes what birth and death leave; the hyperpriors, the
-    # variance floor and the replication intervals are module constants
+    # variance floor, the fit's starting values and the replication intervals
+    # are module constants
     with pytest.raises(TypeError, match=name):
         cls(**{name: 0.5})
