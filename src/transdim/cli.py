@@ -17,7 +17,7 @@ from . import diagnostics, montecarlo, storage
 from .fit import FitConfig, sem_fit
 from .model import ModelError, model_intensity
 from .muons import AugerChainConfig, PECountSignal, PulseShape, rjmcmc_run_auger, simulate_pe_signal
-from .sinusoid import SinChainConfig, design_matrix, generate_synthetic_signal, rjmcmc_run
+from .sinusoid import DELTA2_START, SinChainConfig, design_matrix, generate_synthetic_signal, rjmcmc_run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -198,7 +198,7 @@ def _cmd_report(args) -> int:
             raise storage.StorageError(f"{args.signal}: 'y' and 'clean' must be equal-length lists")
         try:
             extras = samples.provenance.get("extras") or {}
-            delta2 = float(extras.get("mean_delta2", SinChainConfig.delta2_init))
+            delta2 = float(extras.get("mean_delta2", DELTA2_START))
         except (AttributeError, TypeError, ValueError):
             raise storage.StorageError(f"{args.samples}: extras.mean_delta2 is not a number") from None
         bma = diagnostics.reconstruct_bma(samples, y, delta2)
@@ -330,11 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     _config_option(p, "--thinning", "thinning", type=int)
     _config_option(p, "--k-max", "k_max", type=int)
     _config_option(p, "--rw-step", "rw_step", type=float)
-    _config_option(p, "--delta2", "delta2_init", type=float)
-    _config_option(p, "--fix-delta2", "sample_delta2", action="store_false")
-    _config_option(p, "--rate", "rate_init", type=float)
-    _config_option(p, "--fix-rate", "sample_rate", action="store_false")
-    p.set_defaults(func=_cmd_simulate_sin)
+    _config_option(p, "--fix-delta2", "delta2", type=float, metavar="X")
+    _config_option(p, "--fix-rate", "rate", type=float, metavar="X")
+    p.set_defaults(func=_cmd_simulate_sin, parser=p)
 
     p = sub.add_parser("simulate-auger", help="synthesize a photoelectron trace and sample it")
     p.add_argument("--seed", type=int, required=True)
@@ -357,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     _config_option(p, "--amp-alpha", "amp_alpha", type=float)
     _config_option(p, "--amp-beta", "amp_beta", type=float)
     _config_option(p, "--a-max", "a_max", type=float)
-    p.set_defaults(func=_cmd_simulate_auger)
+    p.set_defaults(func=_cmd_simulate_auger, parser=p)
 
     p = sub.add_parser("fit", help="fit the gated-Gaussian approximation to samples")
     p.add_argument("--samples", required=True)
@@ -371,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     _config_option(p, "--prune-threshold", "prune_threshold", type=int)
     _config_option(p, "--init-rule", "init_rule", choices=("percentile", "threshold", "fixed"))
     _config_option(p, "--fixed-l", "fixed_L", type=int)
-    p.set_defaults(func=_cmd_fit)
+    p.set_defaults(func=_cmd_fit, parser=p)
 
     p = sub.add_parser("report", help="summarize a fitted model against samples")
     p.add_argument("--model", required=True)
@@ -385,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hist-bins", type=int, default=50)
     p.add_argument("--grid-points", type=int, default=512)
     p.add_argument("--dim", type=int, default=0)
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(func=_cmd_report, parser=p)
 
     p = sub.add_parser("montecarlo", help="replicated end-to-end comparison study")
     p.add_argument("--seed", type=int, required=True)
@@ -395,12 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     _config_option(p, "--iterations", "iterations", type=int)
     _config_option(p, "--burn-in", "burn_in", type=int)
     _config_option(p, "--draws", "reconstruction_draws", type=int)
-    p.set_defaults(func=_cmd_montecarlo)
+    p.set_defaults(func=_cmd_montecarlo, parser=p)
 
     p = sub.add_parser("oracle", help="run the cross-check oracles")
     p.add_argument("--check", choices=_ORACLE_CHECKS)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_oracle, parser=p)
 
     return parser
 
@@ -408,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # the subcommand's parser reports them, with its own usage
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
+LAM_MAX = 1e6  # a fitted lam, a mean count per record, is at most max k; far larger ones exhaust memory
 
 
 class ModelError(ValueError):
@@ -150,8 +151,8 @@ class ApproxModel:
     lam: float
 
     def __post_init__(self):
-        if not 0.0 <= self.lam < math.inf:
-            raise ModelError(f"lam must be finite and nonnegative, got {self.lam}")
+        if not 0.0 <= self.lam <= LAM_MAX:
+            raise ModelError(f"lam must be finite, nonnegative and at most {LAM_MAX:g}, got {self.lam}")
         for comp in self.components:
             if comp.mu.shape[0] != self.space.dim:
                 raise ModelError("component dimension does not match the space")

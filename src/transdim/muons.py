@@ -261,14 +261,12 @@ class _AugerChain(rjmcmc.Chain):
         self.lo, self.hi = signal.window
         if config.init_muons:
             muons = _muon_array(config.init_muons)
-            if not np.all(self.space.contains(muons)):
-                raise ModelError("initial muons fall outside the parameter box")
             muons = muons[np.argsort(muons[:, 0])]
         else:
-            # one muon at the window start keeps every bin mean strictly
-            # positive; an all-zero trace starts from the empty configuration
+            # one muon at the window start keeps every bin mean strictly positive; its amplitude,
+            # the total count, is capped at a_max to lie in the prior; an all-zero trace starts empty
             total = int(signal.counts.sum())
-            muons = np.array([[self.lo, float(total)]]) if total else np.zeros((0, 2))
+            muons = np.array([[self.lo, min(total, config.a_max)]]) if total else np.zeros((0, 2))
         self.edges, self.n = signal.edges(), signal.counts.astype(float)
         self.log_n_fact = np.sum(gammaln(self.n + 1.0))
         rows = np.hstack([muons, _unit_masses(muons[:, 0], self.edges, config.pulse)])

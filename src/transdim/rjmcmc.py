@@ -93,8 +93,10 @@ class Chain:
 
 
 def run(chain: Chain) -> SampleSet:
-    """Run ``chain.config.iterations`` iterations and ingest the thinned states."""
+    """Check the start (inside the box, nonzero density), then run and ingest the thinned states."""
     config = chain.config
+    if not np.all(chain.space.contains(chain.state[0][:, :chain.space.dim])):
+        raise ModelError("the initial state falls outside the parameter box")
     if not np.isfinite(chain.state[1]):
         raise ModelError("initial state has zero posterior density")
     attempts = dict.fromkeys(("birth", "death", "update") + chain.extra_moves, 0)

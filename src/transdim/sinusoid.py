@@ -43,6 +43,7 @@ logger = logging.getLogger(__name__)
 # rate ~ Gamma(ALPHA_RATE, BETA_RATE), shape and rate
 ALPHA_DELTA, BETA_DELTA = 2.0, 20.0
 ALPHA_RATE, BETA_RATE = 1.0, 1.0
+DELTA2_START, RATE_START = 20.0, 3.0  # where a sampled delta2 and rate start
 
 
 def sin_param_space() -> ParamSpace:
@@ -84,6 +85,9 @@ class SinusoidSignal:
 
 @dataclass
 class SinChainConfig:
+    """Sinusoid chain settings.  A value of ``delta2`` (the g-prior scale) or ``rate`` (the
+    Poisson rate of k) holds it fixed; None samples it from ``DELTA2_START`` or ``RATE_START``."""
+
     iterations: int = 100_000
     burn_in: int = 20_000
     thinning: int = 5
@@ -91,15 +95,14 @@ class SinChainConfig:
     birth_prob: float = 0.25
     death_prob: float = 0.25
     rw_step: float = 0.01
-    delta2_init: float = 20.0
-    sample_delta2: bool = True
-    rate_init: float = 3.0
-    sample_rate: bool = True
+    delta2: float | None = None
+    rate: float | None = None
     rng_seed: int = 0
     init_omega: tuple = ()
 
     def __post_init__(self):
-        rjmcmc.check_chain_config(self, "rw_step", "delta2_init", "rate_init")
+        fixed = [name for name in ("delta2", "rate") if getattr(self, name) is not None]
+        rjmcmc.check_chain_config(self, "rw_step", *fixed)
         if len(self.init_omega) > self.k_max:
             raise ModelError("init_omega longer than k_max")
         if not all(0.0 < w < math.pi for w in self.init_omega):
@@ -282,8 +285,8 @@ def generate_synthetic_signal(
 
 
 class _SinChain(rjmcmc.Chain):
-    """State (the :func:`_rows` of the frequencies, data part, u of
-    :func:`_data_part`); delta2 and the rate beside it."""
+    """State (the :func:`_rows` of the frequencies, data part, u of :func:`_data_part`);
+    delta2 and the rate beside it, each refreshed unless the config holds it."""
 
     sampler = "sinusoid-rjmcmc"
     extra_moves = ("rate",)
@@ -294,7 +297,8 @@ class _SinChain(rjmcmc.Chain):
             raise ModelError("signal is identically zero")
         super().__init__(config, sin_param_space())
         rows = _rows(np.sort(np.asarray(config.init_omega, dtype=float)), self.y.size)
-        self.delta2, self.rate = config.delta2_init, config.rate_init
+        self.delta2 = DELTA2_START if config.delta2 is None else config.delta2
+        self.rate = RATE_START if config.rate is None else config.rate
         self.state = (rows, *_data_part(rows, self.y, self.delta2))
         self.log_norm = _log_trunc_series(self.rate, config.k_max)  # at self.rate
         self.singular = self.records = 0
@@ -326,7 +330,7 @@ class _SinChain(rjmcmc.Chain):
         cfg, rng, yty, N = self.config, self.rng, self.yty, self.y.size
         rows, data, u = self.state
         k = len(rows)
-        if cfg.sample_delta2:
+        if cfg.delta2 is None:
             # refresh delta2 through its exact conditional given auxiliary
             # draws of (sigma2, amplitudes a), then discard the auxiliaries;
             # InvGamma(shape, scale) is drawn as scale / Gamma(shape), and
@@ -342,7 +346,7 @@ class _SinChain(rjmcmc.Chain):
                 raise ModelError(f"the {k} frequencies fit the signal exactly at delta2 = "
                                  f"{self.delta2:.3g}: the noise variance has no proper posterior")
             self.state = (rows, data, u)
-        if cfg.sample_rate:
+        if cfg.rate is None:
             # conjugate-form proposal; the truncation of p(k | rate) at k_max
             # leaves a ratio of masses log P(Poisson(.) <= k_max) to correct for
             attempts["rate"] += 1
@@ -371,9 +375,9 @@ def rjmcmc_run(signal: SinusoidSignal, config: SinChainConfig) -> SampleSet:
 
     Each iteration attempts one dimension move (birth of a uniform frequency,
     death of a uniform pick, or a reflected random-walk sweep over the
-    current frequencies), then refreshes delta2 through its auxiliary
-    conditional and the Poisson rate through a conjugate-form proposal with
-    the truncation correction.  Acceptance rates (``rate`` among them) and
-    hyperparameter means are reported in the SampleSet provenance.
+    current frequencies), then refreshes delta2 through its auxiliary conditional
+    and the Poisson rate through a conjugate-form proposal with the truncation
+    correction, each unless the config holds it fixed.  Acceptance rates (``rate``
+    among them) and hyperparameter means are reported in the SampleSet provenance.
     """
     return rjmcmc.run(_SinChain(signal, config))

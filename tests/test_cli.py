@@ -89,7 +89,24 @@ def test_fit_starting_values_are_not_options(tmp_path, capsys, flag):
     # the starting values are constants of transdim.fit
     argv = ["fit", "--samples", str(tmp_path / "x"), "--seed", "2", "--out", str(tmp_path / "m.json")]
     assert cli.main(argv + [flag, "0.5"]) == 1
-    assert f"transdim: error: unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: transdim fit")
+    assert f"transdim fit: error: unrecognized arguments: {flag} 0.5" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--delta2", "8"], "unrecognized arguments: --delta2 8"),
+    (["--rate", "2"], "unrecognized arguments: --rate 2"),
+    (["--fix-rate"], "argument --fix-rate: expected one argument"),
+])
+def test_retired_hyperparameter_spellings_are_usage_errors(tmp_path, capsys, flags, message):
+    # --fix-delta2 X and --fix-rate X hold delta2 and the rate at X; the old
+    # start values and bare switches fail instead of changing meaning
+    assert cli.main(["simulate-sin", "--seed", "1", "--out", str(tmp_path / "x")] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: transdim simulate-sin")
+    assert f"transdim simulate-sin: error: {message}" in err
+    assert not (tmp_path / "x").exists()
 
 
 # the config classes whose fields each subcommand takes through cli._given
@@ -438,6 +455,22 @@ def test_report_non_finite_model_is_data_error(tmp_path, capsys, key, value):
     assert not (tmp_path / "r" / "report.json").exists()
 
 
+@pytest.mark.parametrize("lam", [1e12, 1e300], ids=["1e12", "1e300"])
+@pytest.mark.parametrize("signal", [False, True], ids=["summary", "reconstruction"])
+def test_report_huge_lam_is_data_error(sin_run, tmp_path, capsys, lam, signal):
+    # p(k) of such a model, or a draw of its clutter, would not fit in memory
+    doc = json.loads((sin_run / "model.json").read_text())
+    doc["lam"] = lam
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    argv = ["report", "--model", str(tmp_path / "m.json"), "--samples", str(sin_run / "draws.samples"),
+            "--outdir", str(tmp_path / "r")]
+    if signal:
+        argv += ["--signal", str(sin_run / "signal.json"), "--seed", "1"]
+    assert cli.main(argv) == 2
+    assert "lam must be" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_report_checks_allocation_labels_before_reconstruction(sin_run, tmp_path, monkeypatch):
     samples = read_samples(sin_run / "draws.samples")
     bad = read_model(sin_run / "model.json").L + 2
@@ -542,13 +575,14 @@ def test_simulate_auger_signal_round_trips_through_cli(tmp_path):
     assert ss.space.dim == 2
 
 
-def _library_simulate_sin(seed, out):
+def _library_simulate_sin(seed, out, **settings):
     sig_seed, chain_seed = spawn_seeds(seed, 2)
     sp = montecarlo._PAPER_SIGNAL
     sig = generate_synthetic_signal(
         sp["k"], sp["omega"], sp["energies"], sp["phases"], sp["snr_db"], sp["n"], seed=sig_seed
     )
-    write_samples(rjmcmc_run(sig, SinChainConfig(iterations=1500, burn_in=300, rng_seed=chain_seed)), out)
+    cfg = SinChainConfig(iterations=1500, burn_in=300, rng_seed=chain_seed, **settings)
+    write_samples(rjmcmc_run(sig, cfg), out)
 
 
 def _library_simulate_auger(seed, out):
@@ -581,6 +615,17 @@ def test_cli_defaults_are_the_config_class_defaults(sin_run, tmp_path, command):
     else:
         _library_fit(8, lib_out, samples)
     assert cli_out.read_bytes() == lib_out.read_bytes()
+
+
+def test_fixed_hyperparameter_options_are_the_config_fields(tmp_path):
+    cli_out, lib_out = tmp_path / "cli.out", tmp_path / "lib.out"
+    argv = ["--iterations", "1500", "--burn-in", "300", "--fix-delta2", "8", "--fix-rate", "2"]
+    assert cli.main(["simulate-sin", "--seed", "8", "--out", str(cli_out)] + argv) == 0
+    _library_simulate_sin(8, lib_out, delta2=8.0, rate=2.0)
+    assert cli_out.read_bytes() == lib_out.read_bytes()
+    extras = read_samples(cli_out).provenance["extras"]
+    assert (extras["mean_delta2"], extras["mean_rate"]) == (8.0, 2.0)
+    assert math.isnan(extras["acceptance_rates"]["rate"])
 
 
 def test_oracle_subcommand_passes():
@@ -706,6 +751,7 @@ def test_montecarlo_config_rejects_counts_below_one(field):
         ({"signal": {"energies": [20.0, math.inf, 20.0]}}, []),
         ({"signal": {"phases": [0.0, math.nan, 0.0]}}, []),
         ({"fit": {"threshold_for_L": 0.1}}, []),  # a module constant, not a setting
+        ({"chain": {"rate_init": 2}}, []),  # not a field: "rate" holds the rate fixed
     ],
 )
 def test_montecarlo_cli_bad_settings_are_data_errors(tmp_path, config, flags):

@@ -400,8 +400,7 @@ def test_high_snr_chain_reconstruction_is_accurate():
     cfg = SinChainConfig(
         iterations=8_000, burn_in=1_000, k_max=1,
         birth_prob=0.0, death_prob=0.0,
-        rw_step=0.02, delta2_init=50.0, sample_delta2=False,
-        rate_init=1.0, sample_rate=False, rng_seed=8, init_omega=(0.7,),
+        rw_step=0.02, delta2=50.0, rate=1.0, rng_seed=8, init_omega=(0.7,),
     )
     ss = rjmcmc_run(sig, cfg)
     clean = design_matrix(sig.true_omega, 64) @ sig.true_amplitudes

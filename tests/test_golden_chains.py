@@ -52,7 +52,7 @@ CASES = {
     # both refreshes off, so the rate acceptance is NaN
     "sin-fixed-hyper": (
         "three-tones",
-        dict(iterations=3000, burn_in=500, thinning=1, sample_delta2=False, sample_rate=False,
+        dict(iterations=3000, burn_in=500, thinning=1, delta2=20.0, rate=3.0,
              rng_seed=12),
         dict(samples=2500, rejected=0, digest="facd90c52786f176",
              k_counts=[0, 0, 927, 980, 361, 138, 80, 14],
@@ -85,7 +85,7 @@ CASES = {
     # six samples carry at most three tones: larger states are singular
     "sin-singular": (
         "short-tone",
-        dict(iterations=3000, burn_in=100, thinning=1, k_max=6, rate_init=6.0, sample_rate=False,
+        dict(iterations=3000, burn_in=100, thinning=1, k_max=6, rate=6.0,
              rng_seed=15),
         dict(samples=2900, rejected=0, digest="c216160b615ed2d3",
              k_counts=[49, 735, 947, 1160, 9],

@@ -668,10 +668,13 @@ def test_integer_settings_reject_booleans(make, name, value):
     (FitConfig, "sigma2_floor"), (MonteCarloConfig, "intervals"),
     (FitConfig, "init_pi"), (FitConfig, "init_lambda"),
     (FitConfig, "percentile_for_L"), (FitConfig, "threshold_for_L"),
+    (SinChainConfig, "delta2_init"), (SinChainConfig, "sample_delta2"),
+    (SinChainConfig, "rate_init"), (SinChainConfig, "sample_rate"),
 ])
 def test_settings_that_are_constants_cannot_be_set(cls, name):
     # the update move takes what birth and death leave; the hyperpriors, the
     # variance floor, the fit's starting values and the replication intervals
-    # are module constants
+    # are module constants, and each sinusoid hyperparameter has the one
+    # setting delta2 or rate
     with pytest.raises(TypeError, match=name):
         cls(**{name: 0.5})

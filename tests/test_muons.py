@@ -331,6 +331,16 @@ def test_chain_config_validation():
             AugerChainConfig(**bad)
 
 
+def test_default_start_lies_inside_the_amplitude_prior():
+    # the one starting muon carries the trace's total count, capped at a_max:
+    # above a_max every record that still held it was dropped at ingest
+    sig = simulate_pe_signal([(100, 300), (300, 350)], 30, seed=1)
+    assert sig.counts.sum() > AugerChainConfig.a_max
+    ss = rjmcmc_run_auger(sig, AugerChainConfig(iterations=400, burn_in=0, thinning=1, rng_seed=1))
+    assert ss.rejected == 0
+    assert len(ss) == 400
+
+
 def test_chain_rejects_inconsistent_init():
     sig = simulate_pe_signal([(100.0, 60.0)], 20, seed=5)
     bad = AugerChainConfig(iterations=100, burn_in=10, init_muons=((9999.0, 5.0),))

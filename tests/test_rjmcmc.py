@@ -12,6 +12,7 @@ from scipy.special import digamma, gammainc, gammaincinv, gammaln
 from scipy.stats import gamma as gamma_law
 
 from transdim import muons, rjmcmc, sinusoid
+from transdim.model import ModelError
 from transdim.muons import (
     AugerChainConfig,
     PECountSignal,
@@ -130,7 +131,7 @@ def _update_only_chain(sampler, k):
     if sampler == "sinusoid":
         return sinusoid._SinChain(_three_tones(), SinChainConfig(
             birth_prob=0.0, death_prob=0.0, init_omega=(0.63, 0.68, 0.73)[:k],
-            sample_delta2=False, sample_rate=False, rng_seed=6))
+            delta2=20.0, rate=3.0, rng_seed=6))
     # a muon chain on a nonzero trace starts at one muon, on an empty trace at none
     signal = _two_muons() if k else PECountSignal(np.zeros(30, dtype=np.int64))
     return muons._AugerChain(signal, AugerChainConfig(
@@ -148,6 +149,18 @@ def test_an_update_at_k_zero_draws_only_the_move(sampler):
     rjmcmc._step(chain, attempts, dict(attempts))
     assert chain.rng.bit_generator.state == twin.bit_generator.state
     assert attempts["update"] == 0
+
+
+@pytest.mark.parametrize("sampler, column, value", [("sinusoid", 0, 4.0), ("muons", 1, 1e4)])
+def test_the_engine_refuses_a_start_outside_the_box(sampler, column, value):
+    # a frequency above pi, or an amplitude above a_max: the state's
+    # likelihood term stays finite, so only the box check can refuse it
+    chain = _update_only_chain(sampler, 1)
+    rows = chain.state[0].copy()
+    rows[0, column] = value
+    chain.state = (rows, *chain.state[1:])
+    with pytest.raises(ModelError, match="outside the parameter box"):
+        rjmcmc.run(chain)
 
 
 @pytest.mark.parametrize("sampler", ["sinusoid", "muons"])
@@ -242,7 +255,7 @@ def test_muon_loglik_matches_the_reference_on_shuffled_rows(k):
     {},
     {"init_omega": (0.63, 0.73)},
     {"k_max": 2, "init_omega": (0.6, 2.0)},
-    {"sample_delta2": False, "sample_rate": False},
+    {"delta2": 20.0, "rate": 3.0},
 ])
 def test_sinusoid_cached_state_equals_recompute(settings):
     chain = _CheckedSin(_three_tones(), SinChainConfig(iterations=400, burn_in=0, rng_seed=9,

@@ -268,7 +268,7 @@ def test_normaliser_is_finite_far_above_k_max(rate, k_max):
 
 def test_chain_starts_with_a_finite_normaliser_far_above_k_max():
     sig = generate_synthetic_signal(1, [0.9], [4.0], [0.3], 7.0, 16, seed=5)
-    chain = _SinChain(sig, SinChainConfig(rate_init=745.0, k_max=1))
+    chain = _SinChain(sig, SinChainConfig(rate=745.0, k_max=1))
     assert math.isfinite(chain.log_norm)
 
 
@@ -359,8 +359,7 @@ class _Scripted:
 def test_birth_then_death_restores_state_exactly():
     sig = generate_synthetic_signal(1, [0.9], [4.0], [0.3], 7.0, 16, seed=5)
     omega = np.array([[0.4], [1.1], [2.9]])
-    chain = _SinChain(sig, SinChainConfig(init_omega=tuple(omega[:, 0]), sample_delta2=False,
-                                          sample_rate=False))
+    chain = _SinChain(sig, SinChainConfig(init_omega=tuple(omega[:, 0]), delta2=20.0, rate=3.0))
     start = chain.state
     attempts = dict.fromkeys(("birth", "death", "update", "rate"), 0)
     accepts = dict(attempts)
@@ -392,7 +391,7 @@ def test_chain_config_validation():
         SinChainConfig(k_max=2, init_omega=(0.3, 0.6, 0.9))
     # a bad setting must fail here, before any sampling
     for bad in (
-        {"rw_step": 0.0}, {"delta2_init": math.inf},
+        {"rw_step": 0.0}, {"delta2": math.inf},
         {"thinning": math.nan}, {"iterations": 1e3}, {"k_max": 0},
         {"birth_prob": math.nan}, {"init_omega": (0.5, math.pi)},
     ):
@@ -407,8 +406,7 @@ def test_chain_marginals_match_gridded_target():
     d2, lam = 8.0, 1.0
     cfg = SinChainConfig(
         iterations=120_000, burn_in=20_000, thinning=1, k_max=1,
-        rw_step=0.15, delta2_init=d2, sample_delta2=False,
-        rate_init=lam, sample_rate=False, rng_seed=42,
+        rw_step=0.15, delta2=d2, rate=lam, rng_seed=42,
     )
     ss = rjmcmc_run(sig, cfg)
     assert len(ss) == 100_000
@@ -436,8 +434,7 @@ def test_chain_prefers_empty_model_on_pure_noise():
     d2, lam = 8.0, 1.0
     cfg = SinChainConfig(
         iterations=60_000, burn_in=10_000, thinning=1, k_max=1,
-        rw_step=0.2, delta2_init=d2, sample_delta2=False,
-        rate_init=lam, sample_rate=False, rng_seed=3,
+        rw_step=0.2, delta2=d2, rate=lam, rng_seed=3,
     )
     ss = rjmcmc_run(noise, cfg)
     mids = np.linspace(0, math.pi, 4001)[1:-1]
@@ -456,8 +453,7 @@ def fixed_k_run():
     cfg = SinChainConfig(
         iterations=20_000, burn_in=2_000, thinning=1, k_max=1,
         birth_prob=0.0, death_prob=0.0,
-        rw_step=0.02, delta2_init=50.0, sample_delta2=False,
-        rate_init=1.0, sample_rate=False, rng_seed=8, init_omega=(0.6,),
+        rw_step=0.02, delta2=50.0, rate=1.0, rng_seed=8, init_omega=(0.6,),
     )
     return sig, rjmcmc_run(sig, cfg)
 
